@@ -23,7 +23,7 @@ import numpy as np
 from .channel import (TransitionMatrix, apply, channel_map, kraus_from_gamma,
                       permute_levels)
 from .complementary import complementary_apply
-from .errors import ConditionViolatedError
+from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import best_capacity_witness, is_antidegradable, is_degradable
@@ -216,20 +216,14 @@ def _level_erasure_map(tm: TransitionMatrix) -> LinearMap:
 
 
 def verify_cd_decomposition(tm: TransitionMatrix, tol: float = 1e-10) -> bool:
-    """Check the channel factors as level-erasure after the direct-sum map on
-    a full matrix probe basis."""
+    """Check the channel factors as level-erasure after the direct-sum map by
+    comparing the two superoperators entrywise."""
     d = tm.dim
     if tm.gamma[d - 1, d - 1] > _ZERO_LEVEL_TOL:
         raise ConditionViolatedError("not a complete-damping channel")
     composite = _direct_sum_map(tm).then(_level_erasure_map(tm))
-    phi = channel_map(tm)
-    for m in range(d):
-        for n in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[m, n] = 1.0
-            if np.max(np.abs(composite(e) - phi(e))) > tol:
-                return False
-    return True
+    diff = composite.superoperator() - channel_map(tm).superoperator()
+    return bool(np.max(np.abs(diff)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def _find_cd_permutation(tm: TransitionMatrix) -> Optional[Tuple[Tuple[int, ...]
             continue
         try:
             return perm, permute_levels(tm, perm)
-        except Exception:
+        except MadcapError:
             continue
     return None
 
@@ -312,14 +306,14 @@ def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
         try:
             if monotonicity_certificate(tm_lo, tm_hi, side, tol_psd).cp:
                 return True
-        except Exception:
+        except MadcapError:
             continue
     return False
 
 
 def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
                      tol_psd: float = 1e-9, _depth: int = 0) -> CapacityCertificate:
-    key = (tm.key(), round(tol_border, 15), _depth >= _MAX_DEPTH)
+    key = (tm.key(), round(tol_border, 15), tol_psd, _depth >= _MAX_DEPTH)
     hit = _CERT_CACHE.get(key)
     if hit is not None:
         return hit
@@ -362,12 +356,13 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         pinned = _try_axis_sandwich(tm, tol_border, tol_psd, _depth)
         if pinned is not None:
             return pinned
-        pinned = _try_monotone_pin(tm, tol_border, tol_psd, _depth)
-        if pinned is not None:
-            return pinned
 
     diag_val, _ = max_diagonal_coherent_info(tm)
     lb = max(diag_val, _noiseless_log2(tm), best_capacity_witness(tm))
+    if _depth < _MAX_DEPTH:
+        pinned = _try_monotone_pin(tm, lb, tol_border, tol_psd, _depth)
+        if pinned is not None:
+            return pinned
     if lb > 0.0:
         return CapacityCertificate(
             "LowerBound", lb,
@@ -410,13 +405,11 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
     return None
 
 
-def _try_monotone_pin(tm: TransitionMatrix, tol_border: float, tol_psd: float,
-                      _depth: int) -> Optional[CapacityCertificate]:
+def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
+                      tol_psd: float, _depth: int) -> Optional[CapacityCertificate]:
     """Exact value by pinning: decrease an always-monotone entry to the last
-    point that is exactly certifiable (upper bound U) and compare with an
-    independent lower bound L; |U - L| <= tol pins the capacity."""
-    diag_val, _ = max_diagonal_coherent_info(tm)
-    lower = max(diag_val, _noiseless_log2(tm), best_capacity_witness(tm))
+    point that is exactly certifiable (upper bound U) and compare with the
+    independent lower bound ``lower`` (L); |U - L| <= tol pins the capacity."""
     if lower <= 0.0:
         return None
     decays = sorted(tm.decays)

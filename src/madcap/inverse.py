@@ -3,8 +3,8 @@
 A single-decay factor with amplitude g < 1 has the pseudo-Kraus inverse
   Ktilde_0 = I - (1 - (1-g)^{-1/2}) |k><k|   (sign +)
   Ktilde_1 = sqrt(g/(1-g)) |n><k|             (sign -)
-and the full MAD inverse is the reversed chain of the single-decay inverses
-of the channel's single-decay decomposition.
+and the full MAD inverse composes the single-decay inverses of the channel's
+single-decay decomposition, in reverse order, into one superoperator.
 """
 import warnings
 
@@ -27,7 +27,7 @@ def single_decay_inverse(k: int, n: int, amplitude: float, d: int) -> LinearMap:
     k0[k, k] = 1.0 / np.sqrt(1.0 - amplitude)
     k1 = np.zeros((d, d), dtype=complex)
     k1[n, k] = np.sqrt(amplitude / (1.0 - amplitude))
-    return LinearMap([[(1.0, k0), (-1.0, k1)]])
+    return LinearMap.from_kraus([k0, k1], [1.0, -1.0])
 
 
 def adc_inverse(gamma: float) -> LinearMap:

@@ -1,98 +1,85 @@
-"""Generic linear maps on matrices, represented by signed (pseudo-)Kraus stages.
+"""Generic linear maps on matrices, held as one dense superoperator.
 
-A map is a chain of stages applied in order; each stage is a list of
-``(sign, operator)`` pairs acting as ``theta -> sum_k s_k A_k theta A_k†``.
-Channels have all signs +1; inverse maps carry explicit minus signs.
-Keeping the chain unexpanded matches the constructive definitions and avoids
-blowing up the term count; Choi matrices and superoperators are exported
-densely on demand.
+A map theta -> sum_k s_k A_k theta A_k† with signs s_k (+1 for channels,
+explicit minus signs for inverse maps) is stored as the matrix
+S = sum_k s_k (A_k ⊗ conj A_k) of shape d_out² × d_in², acting on row-major
+vectorized inputs: vec(Phi(X)) = S vec(X). Composition is a matrix product
+and the Choi matrix is a reshuffle of S.
 """
-from typing import List, Sequence, Tuple
+import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
-Stage = List[Tuple[float, np.ndarray]]
-
 
 class LinearMap:
-    def __init__(self, stages: Sequence[Stage]):
-        if not stages:
-            raise DimensionMismatchError("a LinearMap needs at least one stage")
-        self.stages = [[(float(s), np.asarray(a, dtype=complex)) for s, a in st]
-                       for st in stages]
-        self.in_dim = self.stages[0][0][1].shape[1]
-        self.out_dim = self.stages[-1][0][1].shape[0]
-        prev = self.in_dim
-        for st in self.stages:
-            rows = {a.shape[0] for _, a in st}
-            cols = {a.shape[1] for _, a in st}
-            if len(rows) != 1 or len(cols) != 1 or cols.pop() != prev:
-                raise DimensionMismatchError("inconsistent stage dimensions")
-            prev = st[0][1].shape[0]
+    def __init__(self, superop: np.ndarray):
+        s = np.asarray(superop, dtype=complex)
+        dims = [math.isqrt(n) for n in s.shape]
+        if len(dims) != 2 or s.shape != (dims[0] ** 2, dims[1] ** 2):
+            raise DimensionMismatchError(
+                f"superoperator shape {s.shape} is not d_out² × d_in²")
+        self._s = s
+        self.out_dim, self.in_dim = dims
 
     @classmethod
     def from_kraus(cls, ops: Sequence[np.ndarray],
                    signs: Sequence[float] | None = None) -> "LinearMap":
-        if signs is None:
-            signs = [1.0] * len(ops)
-        return cls([[(s, a) for s, a in zip(signs, ops)]])
+        """theta -> sum_k s_k A_k theta A_k†, with every s_k = +1 by default."""
+        try:
+            a = np.asarray(ops, dtype=complex)
+        except ValueError as exc:  # operators of different shapes
+            raise DimensionMismatchError("inconsistent operator shapes") from exc
+        if a.ndim != 3 or not len(a):
+            raise DimensionMismatchError(
+                "a LinearMap needs a non-empty list of equally shaped matrices")
+        signed = a
+        if signs is not None:
+            s = np.asarray(signs, dtype=float)
+            if s.shape != (len(a),):
+                raise DimensionMismatchError("one sign per operator is required")
+            signed = a * s[:, None, None]
+        do, d = a.shape[1:]
+        sup = np.einsum("kpm,kqn->pqmn", signed, a.conj())
+        return cls(sup.reshape(do * do, d * d))
 
     @classmethod
     def identity(cls, d: int) -> "LinearMap":
         return cls.from_kraus([np.eye(d)])
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
-        out = np.asarray(mat, dtype=complex)
-        if out.shape != (self.in_dim, self.in_dim):
+        x = np.asarray(mat, dtype=complex)
+        if x.shape != (self.in_dim, self.in_dim):
             raise DimensionMismatchError(
-                f"map expects {self.in_dim}x{self.in_dim} input, got {out.shape}")
-        for stage in self.stages:
-            out = sum(s * (a @ out @ a.conj().T) for s, a in stage)
-        return out
+                f"map expects {self.in_dim}x{self.in_dim} input, got {x.shape}")
+        return (self._s @ x.reshape(-1)).reshape(self.out_dim, self.out_dim)
 
     def then(self, nxt: "LinearMap") -> "LinearMap":
         """Composition: apply self first, then ``nxt``."""
         if nxt.in_dim != self.out_dim:
             raise DimensionMismatchError("composition dimension mismatch")
-        return LinearMap(self.stages + nxt.stages)
+        return LinearMap(nxt._s @ self._s)
 
     def choi(self, normalized: bool = True) -> np.ndarray:
         """(Id ⊗ map)(|Ω⟩⟨Ω|), divided by d_in when ``normalized``.
 
-        Subsystem order: input copy first, output second.
+        Subsystem order: input copy first, output second, so the block (i, j)
+        is map(|i⟩⟨j|). Always a fresh array.
         """
         d, do = self.in_dim, self.out_dim
-        c = np.zeros((d * do, d * do), dtype=complex)
-        basis = np.eye(d)
-        for i in range(d):
-            for j in range(d):
-                eij = np.outer(basis[i], basis[j])
-                block = self(eij)
-                c[i * do:(i + 1) * do, j * do:(j + 1) * do] = block
-        if normalized:
-            c /= d
-        return c
+        c = self._s.reshape(do, do, d, d).transpose(2, 0, 3, 1)
+        c = c.reshape(d * do, d * do)
+        return c / d if normalized else c.copy()
 
     def superoperator(self) -> np.ndarray:
         """Dense d_out² × d_in² matrix acting on row-major vectorized inputs."""
-        d, do = self.in_dim, self.out_dim
-        s = np.zeros((do * do, d * d), dtype=complex)
-        for m in range(d):
-            for n in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[m, n] = 1.0
-                s[:, m * d + n] = self(e).reshape(-1)
-        return s
+        return self._s.copy()
 
     def is_trace_preserving(self, tol: float = 1e-12) -> bool:
-        d = self.in_dim
-        for m in range(d):
-            for n in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[m, n] = 1.0
-                expected = 1.0 if m == n else 0.0
-                if abs(np.trace(self(e)) - expected) > tol:
-                    return False
-        return True
+        """tr map(X) = tr X for all X: the rows of S belonging to the output's
+        diagonal entries must sum to vec(I)."""
+        do = self.out_dim
+        traced = self._s.reshape(do, do, -1).trace(axis1=0, axis2=1)
+        return bool(np.max(np.abs(traced - np.eye(self.in_dim).reshape(-1))) <= tol)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from madcap import capacity, structure
 from madcap.capacity import (CapacityCertificate, adc_capacity,
                              certify_capacity, coherent_information,
                              diagonal_coherent_information,
@@ -260,6 +261,27 @@ class TestCertifyCapacity:
     def test_unknown_is_never_silent_zero(self):
         cert = CapacityCertificate("Unknown", None)
         assert not cert.exact
+
+    def test_cache_keeps_psd_tolerances_apart(self, monkeypatch):
+        tm = TransitionMatrix(3, {(1, 0): 0.028615813918262577,
+                                  (2, 0): 0.4184927064735014,
+                                  (2, 1): 0.011965525567453882})
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        assert certify_capacity(tm, tol_psd=1e-9).kind == "LowerBound"
+        assert certify_capacity(tm, tol_psd=1.0).kind == "ExactDegradable"
+
+    def test_programming_errors_in_axis_certificates_propagate(self, monkeypatch):
+        # the (2, 1) axis is not always monotone, so the sandwich asks
+        # _axis_cert_ok for connecting-map certificates
+        tm = TransitionMatrix(4, {(2, 0): 0.3, (2, 1): 0.3})
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(structure, "monotonicity_certificate", broken)
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        with pytest.raises(TypeError, match="injected"):
+            certify_capacity(tm)
 
 
 class TestMad3Verification:

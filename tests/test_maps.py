@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from madcap.channel import random_transition_matrix
 from madcap.errors import DimensionMismatchError
+from madcap.inverse import mad_inverse
 from madcap.maps import LinearMap
 
 
@@ -30,7 +32,7 @@ def test_signed_kraus_action():
     # theta -> theta - |0><1| theta |1><0| subtracts the (1,1) population
     a = np.zeros((2, 2))
     a[0, 1] = 1.0
-    m = LinearMap([[(1.0, np.eye(2)), (-1.0, a)]])
+    m = LinearMap.from_kraus([np.eye(2), a], [1.0, -1.0])
     theta = np.array([[0.25, 0.5], [0.5, 0.75]], dtype=complex)
     out = m(theta)
     assert out[0, 0] == pytest.approx(0.25 - 0.75)
@@ -70,8 +72,63 @@ def test_superoperator_matches_action(rng):
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatchError):
-        LinearMap([])
+        LinearMap.from_kraus([])
     with pytest.raises(DimensionMismatchError):
         LinearMap.identity(2)(np.eye(3))
     with pytest.raises(DimensionMismatchError):
         LinearMap.identity(2).then(LinearMap.identity(3))
+    with pytest.raises(DimensionMismatchError):
+        LinearMap.from_kraus([np.eye(2), np.eye(3)])
+    with pytest.raises(DimensionMismatchError):
+        LinearMap.from_kraus([np.eye(2), np.eye(2)], [1.0])
+
+
+def _signed_sum(ops, signs, x):
+    return sum(s * (a @ x @ a.conj().T) for s, a in zip(signs, ops))
+
+
+@pytest.mark.parametrize("d_out, d_in, signs", [
+    (2, 3, [1.0, -1.0]),
+    (4, 2, [1.0, 1.0, -0.5]),
+    (3, 3, [-1.0]),
+])
+def test_signed_rectangular_kraus_matches_explicit_sum(rng, d_out, d_in, signs):
+    ops = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+           for _ in signs]
+    m = LinearMap.from_kraus(ops, signs)
+    x = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    assert np.allclose(m(x), _signed_sum(ops, signs, x), atol=1e-12)
+    sup = np.empty((d_out * d_out, d_in * d_in), dtype=complex)
+    choi = np.empty((d_in * d_out, d_in * d_out), dtype=complex)
+    for i in range(d_in):
+        for j in range(d_in):
+            e = np.zeros((d_in, d_in))
+            e[i, j] = 1.0
+            block = _signed_sum(ops, signs, e)
+            sup[:, i * d_in + j] = block.reshape(-1)
+            choi[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = block
+    assert np.allclose(m.superoperator(), sup, atol=1e-12)
+    assert np.allclose(m.choi(normalized=False), choi, atol=1e-12)
+    assert np.allclose(m.choi(), choi / d_in, atol=1e-12)
+
+
+def test_then_is_superoperator_product(rng):
+    a = LinearMap.from_kraus(
+        [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))])
+    b = LinearMap.from_kraus([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))],
+                             [1.0, -1.0])
+    assert np.array_equal(a.then(b).superoperator(),
+                          b.superoperator() @ a.superoperator())
+
+
+def test_trace_preservation_of_non_cp_inverses(rng):
+    checked = 0
+    while checked < 10:
+        tm = random_transition_matrix(int(rng.integers(2, 5)), rng)
+        if np.min(np.diag(tm.gamma)) < 0.2:
+            continue
+        checked += 1
+        inv = mad_inverse(tm)
+        assert np.linalg.eigvalsh(inv.choi())[0] < -1e-3  # not CP
+        assert inv.is_trace_preserving()
+    assert not LinearMap.from_kraus([0.5 * np.eye(3)]).is_trace_preserving()

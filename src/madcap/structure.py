@@ -2,19 +2,26 @@
 certificates, and the 3-level connecting channel.
 
 Degradability is decided by the spectrum of the Choi matrix of the degrading
-map (complementary after inverse). Antidegradability has the exact analytic
-criterion gamma_j0 >= gamma_jj for every level j >= 1; it is witnessed
-constructively by a tripartite two-extension of the Choi state, and refuted
-by a strictly positive capacity lower bound.
+map (complementary after inverse). Its superoperator is assembled in closed
+form from Gamma, for a whole stack of transition matrices at once: the
+complementary part has entries sqrt(gamma_u gamma_v) at index positions fixed
+per dimension, and the inverse scales coherences by 1/sqrt(gamma_mm gamma_nn)
+and maps populations by Gamma^{-T}. A single channel is a batch of one.
+Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
+every level j >= 1; it is witnessed constructively by a tripartite
+two-extension of the Choi state, and refuted by a strictly positive capacity
+lower bound.
 """
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional
 
 import numpy as np
 
 from .channel import TransitionMatrix, channel_map
-from .complementary import complementary_map
-from .errors import (ConditionViolatedError, NotComparableError)
+from .complementary import env_basis, env_dim
+from .errors import (ConditionViolatedError, NotComparableError,
+                     SingularInverseError)
 from .inverse import mad_inverse
 from .maps import LinearMap
 
@@ -33,38 +40,111 @@ def choi_of(m: LinearMap, normalized: bool = True) -> np.ndarray:
     return m.choi(normalized=normalized)
 
 
+@lru_cache(maxsize=None)
+def _complementary_tables(d: int) -> tuple:
+    """Positions of the nonzero complementary-superoperator entries.
+
+    Channel Kraus operator K_s (environment slot s) has one entry
+    sqrt(Gamma.flat[u]) at (c, p); the complementary map sends rho_pq to
+    environment entry (s, t) with weight sqrt(gamma_u gamma_v) whenever K_s
+    and K_t share the output row c. Returns (rows, cols, u, v) of the
+    e² × d² superoperator; no position repeats.
+    """
+    e = env_dim(d)
+    entries = [(0, k, k, k * d + k) for k in range(d)]
+    entries += [(s, i, j, j * d + i)
+                for s, (i, j) in enumerate(env_basis(d)) if s > 0]
+    tables = np.array([(s * e + t, p * d + q, u, v)
+                       for s, c, p, u in entries
+                       for t, c2, q, v in entries if c == c2]).T
+    tables.flags.writeable = False
+    return tuple(tables)
+
+
+def _degrading_superops(gammas: np.ndarray) -> np.ndarray:
+    """Superoperators (B, e², d²) of the degrading maps of a Gamma stack
+    (B, d, d) with every gamma_kk > 0: complementary after inverse."""
+    g = np.asarray(gammas, dtype=float)
+    b, d, _ = g.shape
+    e = env_dim(d)
+    rows, cols, u, v = _complementary_tables(d)
+    flat = g.reshape(b, d * d)
+    comp = np.zeros((b, e * e, d * d))
+    comp[:, rows, cols] = np.sqrt(flat[:, u] * flat[:, v])
+    surv = np.diagonal(g, axis1=1, axis2=2)
+    coherence = 1.0 / np.sqrt(surv[:, :, None] * surv[:, None, :])
+    idx = np.arange(d * d)
+    pop = idx[::d + 1]
+    inv = np.zeros((b, d * d, d * d))
+    inv[:, idx, idx] = coherence.reshape(b, d * d)
+    inv[:, pop[:, None], pop] = np.linalg.inv(g).transpose(0, 2, 1)
+    return comp @ inv
+
+
+def degrading_chois(gammas: np.ndarray) -> np.ndarray:
+    """Normalized Choi matrices (B, d·e, d·e), e = 1 + d(d-1)/2, of the
+    degrading maps of a Gamma stack (B, d, d) with every gamma_kk > 0.
+
+    Same subsystem order as LinearMap.choi: input copy first."""
+    b, d = np.shape(gammas)[:2]
+    e = env_dim(d)
+    c = _degrading_superops(gammas).reshape(b, e, e, d, d)
+    return c.transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e) / d
+
+
 def degrading_map(tm: TransitionMatrix) -> LinearMap:
     """Lambda = Phi_complementary ∘ Phi^{-1}: maps channel outputs to the
-    environment output. CP iff the channel is degradable."""
-    return mad_inverse(tm).then(complementary_map(tm))
+    environment output. CP iff the channel is degradable. Built from the
+    closed-form superoperator; needs every gamma_kk > 0."""
+    singular = [k for k in range(1, tm.dim) if tm.gamma[k, k] <= 0.0]
+    if singular:
+        raise SingularInverseError(
+            f"inverse undefined: gamma_kk = 0 at level(s) {singular}")
+    return LinearMap(_degrading_superops(tm.gamma[None])[0])
 
 
-def _psd_status(c: np.ndarray, tol: float) -> tuple[str, float]:
-    """PSD verdict with a boundary band.
+def _psd_status(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """PSD verdicts with a boundary band for a stack (..., n, n), from one
+    stacked eigen-solve.
 
     Rank-deficient CP maps have exact zero Choi eigenvalues, so values down
     to numerical noise still mean "yes"; only slightly negative values inside
     the band are flagged "boundary" instead of being flipped to "no".
     """
-    eig = np.linalg.eigvalsh((c + c.conj().T) / 2)
-    lo = float(eig[0])
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if lo >= -max(1e-12, tol * 1e-3) * scale:
-        return "yes", lo
-    if lo >= -BOUNDARY_BAND * scale:
-        return "boundary", lo
-    return ("yes" if lo >= -tol * scale else "no"), lo
+    lo = np.linalg.eigvalsh((c + c.conj().swapaxes(-1, -2)) / 2)[..., 0]
+    scale = np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1)))
+    status = np.where(
+        lo >= -max(1e-12, tol * 1e-3) * scale, "yes",
+        np.where(lo >= -BOUNDARY_BAND * scale, "boundary",
+                 np.where(lo >= -tol * scale, "yes", "no")))
+    return status, lo
+
+
+def degradability_status(gammas: np.ndarray,
+                         tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Choi-PSD degradability verdicts for a Gamma stack (B, d, d): one
+    degrading-Choi kernel call and one stacked eigen-solve.
+
+    Returns the verdict of each channel ("yes" | "no" | "boundary", or
+    "unknown" where some gamma_kk = 0 makes the inverse, and with it the
+    test, unavailable) and its minimum Choi eigenvalue (nan if unknown).
+    """
+    g = np.asarray(gammas, dtype=float)
+    known = np.all(np.diagonal(g, axis1=1, axis2=2)[:, 1:] > 0.0, axis=1)
+    status = np.full(len(g), "unknown", dtype="<U8")
+    lo = np.full(len(g), np.nan)
+    if known.any():
+        status[known], lo[known] = _psd_status(degrading_chois(g[known]), tol)
+    return status, lo
 
 
 def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:
-    """Choi-PSD test of the degrading map; 'unknown' when some gamma_kk = 0
-    (the inverse map, and with it the test, is unavailable there)."""
-    anti = is_antidegradable(tm)
-    if any(tm.gamma[k, k] <= 0.0 for k in range(1, tm.dim)):
-        return ClassificationResult("unknown", anti, None)
-    c = degrading_map(tm).choi()
-    status, lo = _psd_status(c, tol)
-    return ClassificationResult(status, anti, lo)
+    """Choi-PSD test of the degrading map, as a batch of one of
+    degradability_status; 'unknown' when some gamma_kk = 0."""
+    status, lo = degradability_status(tm.gamma[None], tol)
+    verdict = str(status[0])
+    return ClassificationResult(verdict, is_antidegradable(tm),
+                                None if verdict == "unknown" else float(lo[0]))
 
 
 def is_antidegradable(tm: TransitionMatrix) -> bool:
@@ -218,7 +298,8 @@ def monotonicity_certificate(tm: TransitionMatrix, tm_bigger: TransitionMatrix,
     else:
         raise NotComparableError(f"side must be 'left' or 'right', got {side!r}")
     status, lo = _psd_status(lam.choi(), tol)
-    return MonotonicityCertificate(side, status != "no", status, lo)
+    return MonotonicityCertificate(side, bool(status != "no"), str(status),
+                                   float(lo))
 
 
 def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:

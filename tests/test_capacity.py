@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,21 @@ class TestDiagonalMaximization:
             avg = (diagonal_coherent_information(tm, p)
                    + diagonal_coherent_information(tm, q)) / 2
             assert mid >= avg - 1e-9
+
+    def test_value_is_coherent_information_at_returned_input(self, rng):
+        for d in (2, 3, 4):
+            for _ in range(4):
+                tm = random_transition_matrix(d, rng)
+                val, p = max_diagonal_coherent_info(tm)
+                assert abs(val - diagonal_coherent_information(tm, p)) <= 1e-12
+                assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_simplex_grid_is_read_only(self):
+        grid = capacity._simplex_grid(3, 50)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+        _, p = max_diagonal_coherent_info(TransitionMatrix(3, {(2, 0): 0.3}))
+        p[0] = 0.5  # the maximizer hands back its own, writable copy
 
     def test_relabeling_invariance(self):
         tm = single_decay_matrix(3, 2, 0, 0.4)
@@ -282,6 +300,126 @@ class TestCertifyCapacity:
         monkeypatch.setattr(capacity, "_CERT_CACHE", {})
         with pytest.raises(TypeError, match="injected"):
             certify_capacity(tm)
+
+
+def sequential_bisection(pred, lo, hi):
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestBorderSearch:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 7])
+    def test_threshold_borders_match_sequential_bisection(self, rng,
+                                                           monkeypatch, levels):
+        monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
+        for _ in range(20):
+            hi = float(rng.uniform(0.01, 1.0))
+            t_star = float(rng.uniform(0.0, hi))
+            got = capacity._border(lambda ts: ts <= t_star, 0.0, hi)
+            assert got == sequential_bisection(lambda t: t <= t_star, 0.0, hi)
+
+    @pytest.mark.parametrize("levels", [1, 3, 4])
+    def test_non_monotone_predicate_matches_sequential_bisection(
+            self, monkeypatch, levels):
+        monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
+
+        def pred(t):
+            return np.sin(1.0 / (np.asarray(t) + 1e-3)) > 0.0
+
+        got = capacity._border(pred, 0.0, 0.7)
+        assert got == sequential_bisection(lambda t: bool(pred(t)), 0.0, 0.7)
+
+    def test_decay_stack_equals_with_decay(self, rng):
+        for d in (3, 4):
+            for _ in range(5):
+                tm = random_transition_matrix(d, rng)
+                axes = sorted(tm.decays)
+                j, i = axes[int(rng.integers(len(axes)))]
+                gji = tm.gamma[j, i]
+                ts = np.r_[0.0, gji, rng.uniform(0.0, gji, 6)]
+                want = np.stack([tm.with_decay(j, i, t).gamma for t in ts])
+                assert np.array_equal(capacity._decay_stack(tm, j, i, ts), want)
+                for j2, i2 in axes:
+                    want = np.stack([
+                        tm.with_decay(j, i, t).with_decay(j2, i2, 0.0).gamma
+                        for t in ts])
+                    got = capacity._decay_stack(tm, j, i, ts, (j2, i2))
+                    assert np.array_equal(got, want)
+
+
+# the d = 3 LowerBound point and the README channel
+ANCHORS = [TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3, (2, 0): 0.2}),
+           example_channel(0.7, 0.35, 0.35)]
+
+
+class TestCertificateCache:
+    def test_diagonal_maximum_once_per_gamma_in_a_call(self, monkeypatch):
+        seen = []
+        inner = capacity.max_diagonal_coherent_info
+
+        def counting(tm, *args, **kwargs):
+            seen.append(tm.gamma.tobytes())
+            return inner(tm, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "max_diagonal_coherent_info", counting)
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        assert certify_capacity(ANCHORS[0]).kind == "LowerBound"
+        assert len(seen) == len(set(seen)) > 1
+
+    def test_cold_warm_and_evicting_caches_agree(self, rng, monkeypatch):
+        tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
+        cold = []
+        for tm in tms:
+            monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+            cert = certify_capacity(tm)
+            cold.append((cert.kind, cert.value))
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        warm = [certify_capacity(tm) for tm in reversed(tms)][::-1]
+        assert [(c.kind, c.value) for c in warm] == cold
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 3)
+        evicting = []
+        for tm in tms:
+            cert = certify_capacity(tm)
+            evicting.append((cert.kind, cert.value))
+            assert len(capacity._CERT_CACHE) <= 3
+        assert evicting == cold
+
+    def test_threads_share_a_small_cache(self, monkeypatch):
+        # cheap antidegradable channels, so nearly all the time goes to the
+        # cache; with a cap of 2 every insertion evicts
+        tms = [TransitionMatrix(2, {(1, 0): 0.5 + 1e-4 * k}) for k in range(4000)]
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 2)
+        errors, done = [], []
+
+        def work(seed):
+            try:
+                for k in np.random.default_rng(seed).permutation(len(tms)):
+                    assert certify_capacity(tms[k]).kind == "Zero"
+                done.append(seed)
+            except Exception as exc:  # KeyError or RuntimeError from a race
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(done) == list(range(8))
+        assert len(capacity._CERT_CACHE) <= 2
 
 
 class TestMad3Verification:

@@ -3,12 +3,15 @@ import pytest
 
 from madcap.channel import (TransitionMatrix, apply, channel_map,
                             decompose_by_level, random_transition_matrix)
-from madcap.complementary import complementary_apply, env_dim
-from madcap.errors import ConditionViolatedError, NotComparableError
+from madcap.complementary import complementary_apply, complementary_map, env_dim
+from madcap.errors import (ConditionViolatedError, NotComparableError,
+                           SingularInverseError)
+from madcap.inverse import mad_inverse
 from madcap.linalg import partial_trace, random_density_matrix
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
-                              connecting_eigenvalues, degrading_map,
+                              connecting_eigenvalues, degradability_status,
+                              degrading_chois, degrading_map,
                               is_antidegradable, is_degradable,
                               mad_choi_state, monotonicity_certificate)
 
@@ -56,6 +59,63 @@ class TestDegradingMap:
     def test_not_cp_above_half(self):
         c = degrading_map(TransitionMatrix(2, {(1, 0): 0.7})).choi()
         assert np.linalg.eigvalsh((c + c.conj().T) / 2)[0] < -1e-6
+
+
+def sparse_channel(d, rng):
+    """Random channel with some decays exactly zero and survival
+    probabilities drawn log-uniformly down to 1e-3."""
+    decays = {}
+    for j in range(1, d):
+        w = rng.dirichlet(np.ones(j)) * (rng.uniform(size=j) > 0.3)
+        if w.sum() == 0.0:
+            continue
+        keep = 10.0 ** rng.uniform(-3.0, 0.0)
+        for i in range(j):
+            if w[i] > 0.0:
+                decays[(j, i)] = float((1.0 - keep) * w[i] / w.sum())
+    return TransitionMatrix(d, decays)
+
+
+class TestDegradingChoiKernel:
+    def test_matches_composed_reference(self, rng):
+        for d in (2, 3, 4, 5):
+            tms = [sparse_channel(d, rng) for _ in range(12)]
+            tms.append(TransitionMatrix(d, {(d - 1, 0): 1.0 - 1e-3}))
+            got = degrading_chois(np.stack([tm.gamma for tm in tms]))
+            for tm, c in zip(tms, got):
+                ref = mad_inverse(tm).then(complementary_map(tm)).choi()
+                assert c.shape == ref.shape == (d * env_dim(d),) * 2
+                assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_stack_equals_single_calls(self, rng):
+        for d in (2, 3, 4):
+            stack = np.stack([sparse_channel(d, rng).gamma for _ in range(6)])
+            chois = degrading_chois(stack)
+            status, lo = degradability_status(stack)
+            for k, g in enumerate(stack):
+                assert np.array_equal(chois[k], degrading_chois(g[None])[0])
+                one_status, one_lo = degradability_status(g[None])
+                assert status[k] == one_status[0]
+                assert lo[k] == one_lo[0]
+
+    def test_degrading_map_uses_the_same_superoperator(self, rng):
+        tm = random_transition_matrix(4, rng)
+        assert np.array_equal(degrading_map(tm).choi(),
+                              degrading_chois(tm.gamma[None])[0])
+        with pytest.raises(SingularInverseError):
+            degrading_map(TransitionMatrix(3, {(2, 0): 1.0}))
+
+    def test_status_stack_matches_is_degradable(self):
+        tms = [TransitionMatrix(2, {(1, 0): g}) for g in (0.2, 0.5, 0.7, 1.0)]
+        status, lo = degradability_status(np.stack([tm.gamma for tm in tms]))
+        for tm, s, v in zip(tms, status, lo):
+            res = is_degradable(tm)
+            assert s == res.degradable
+            if res.min_choi_eig is None:
+                assert np.isnan(v)
+            else:
+                assert v == res.min_choi_eig
+        assert list(status[[0, 2, 3]]) == ["yes", "no", "unknown"]
 
 
 class TestIsDegradable:

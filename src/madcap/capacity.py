@@ -461,13 +461,15 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
             continue
         if not _degradable_at(tm, j, i, [0.0], tol_psd)[0]:
             continue
-        t_border = _border(
-            lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji)
-        tm_lo = tm.with_decay(j, i, t_border)
+        # The complete-damping end does not depend on the border, so an axis
+        # whose end has no exact value is dropped before the border search.
         tm_hi = tm.with_decay(j, i, gji + gjj)
         sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1, memo)
         if not sub.exact or sub.value is None:
             continue
+        t_border = _border(
+            lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji)
+        tm_lo = tm.with_decay(j, i, t_border)
         v_low = _diag_max(tm_lo, memo)
         if abs(v_low - sub.value) > tol_border:
             continue

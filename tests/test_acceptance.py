@@ -21,7 +21,8 @@ from madcap.channel import (TransitionMatrix, channel_map, compose,
 from madcap.complementary import complementary_apply, env_dim, \
     stinespring_isometry
 from madcap.inverse import mad_inverse
-from madcap.linalg import partial_trace, random_density_matrix
+from madcap.linalg import (min_eigenvalues, partial_trace,
+                           random_density_matrix)
 from madcap.structure import (build_two_extension, connecting_choi,
                               connecting_eigenvalues, is_antidegradable,
                               is_degradable, mad_choi_state,
@@ -134,16 +135,9 @@ def build_choi_batch(d, big_g):
 
 
 def batch_min_eig_ok(tau, tol=1e-9):
-    """PSD check for a batch: Cholesky with a tiny shift, eigensolver fallback."""
+    """PSD check for a batch: sector-split minimum eigenvalues."""
     scale = np.maximum(1.0, np.abs(tau).max(axis=(1, 2)))
-    shift = tol * scale
-    eye = np.eye(tau.shape[1])
-    try:
-        np.linalg.cholesky(tau + shift[:, None, None] * eye)
-        return True
-    except np.linalg.LinAlgError:
-        lows = np.linalg.eigvalsh(tau)[:, 0]
-        return bool(np.all(lows >= -tol * scale))
+    return bool(np.all(min_eigenvalues(tau) >= -tol * scale))
 
 
 def gamma_batch_d3(rows1, rows2, i1, i2, steps):

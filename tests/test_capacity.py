@@ -301,6 +301,28 @@ class TestCertifyCapacity:
         with pytest.raises(TypeError, match="injected"):
             certify_capacity(tm)
 
+    def test_axis_without_exact_end_skips_border_search(self, monkeypatch):
+        # LowerBound anchor: axes (1, 0) and (2, 1) are degradable at t = 0,
+        # but only (2, 1) has an exact complete-damping end
+        tm = ANCHORS[0]
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        cert = certify_capacity(tm)
+        assert (cert.kind, cert.value) == ("LowerBound", 0.41503749927884376)
+        ends = [tm.with_decay(j, i, tm.gamma[j, i] + tm.gamma[j, j])
+                for j, i in [(1, 0), (2, 1)]]
+        assert [certify_capacity(e, _depth=1).exact for e in ends] == [False, True]
+        calls = []
+        inner = capacity._border
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        # the ends are cached now, so only the axis loop itself can bisect
+        monkeypatch.setattr(capacity, "_border", counting)
+        assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0, {}) is None
+        assert len(calls) == 1
+
 
 def sequential_bisection(pred, lo, hi):
     for _ in range(60):

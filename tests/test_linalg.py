@@ -1,11 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from madcap.errors import (DimensionMismatchError, InvalidStateError,
-                           NonHermitianError)
+from madcap.channel import TransitionMatrix
+from madcap.errors import (ConditionViolatedError, DimensionMismatchError,
+                           InvalidStateError, NonHermitianError)
 from madcap.linalg import (check_density_matrix, hermitian_eigenvalues,
-                           is_psd, partial_trace, random_density_matrix,
-                           shannon_entropy, von_neumann_entropy)
+                           is_psd, min_eigenvalues, partial_trace,
+                           random_density_matrix, shannon_entropy,
+                           von_neumann_entropy)
+from madcap.structure import build_two_extension
 
 
 def test_hermitian_eigenvalues_pauli_x():
@@ -94,10 +100,137 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(6), [2, 2], [0])
 
 
+def test_partial_trace_keeps_dtype_and_checks_keep():
+    out = partial_trace(np.eye(8), [2, 2, 2], [0, 2])
+    assert out.dtype == complex and out.shape == (4, 4)
+    assert np.array_equal(out, 2 * np.eye(4))
+    assert partial_trace(np.eye(6), [2, 3], []).shape == (1, 1)
+    with pytest.raises(DimensionMismatchError):
+        partial_trace(np.eye(6), [2, 3], [2])
+
+
 def test_is_psd():
     assert is_psd(np.eye(3))
     assert is_psd(np.zeros((2, 2)))
     assert not is_psd(np.diag([1.0, -0.1]))
+
+
+def test_is_psd_rejects_non_hermitian_and_non_square():
+    with pytest.raises(NonHermitianError):
+        is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NonHermitianError):
+        is_psd(np.array([[1.0, 1j], [1j, 1.0]]))
+    with pytest.raises(DimensionMismatchError):
+        is_psd(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        is_psd(np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        min_eigenvalues(np.zeros((3, 2)))
+
+
+def random_hermitian(s, rng, complex_):
+    a = rng.normal(size=(s, s))
+    if complex_:
+        a = a + 1j * rng.normal(size=(s, s))
+    return a + a.conj().T
+
+
+def hidden_block_diagonal(sizes, rng, complex_, chains=False):
+    """Block-diagonal Hermitian matrix with random blocks, its rows and
+    columns shuffled by one random permutation. With ``chains`` each block
+    is tridiagonal, so its members are connected only through a path."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex if complex_ else float)
+    at = 0
+    for s in sizes:
+        block = random_hermitian(s, rng, complex_)
+        if chains:
+            block = np.triu(np.tril(block, 1), -1)
+        m[at:at + s, at:at + s] = block
+        at += s
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+def dense_min(m):
+    return np.linalg.eigvalsh(m)[..., 0]
+
+
+def assert_matches_dense(m):
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    assert np.all(np.abs(min_eigenvalues(m) - dense_min(m)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("chains", [False, True])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_min_eigenvalues_on_hidden_blocks(rng, complex_, chains):
+    for _ in range(30):
+        sizes = rng.integers(1, 8, size=rng.integers(1, 9)).tolist()
+        assert_matches_dense(hidden_block_diagonal(sizes, rng, complex_, chains))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_min_eigenvalues_stack_with_different_patterns(rng, complex_):
+    # every member has its own blocks; the stack's combined pattern is
+    # coarser than each of them
+    stack = np.stack([hidden_block_diagonal([1, 2, 3, 7, 1, 4], rng, complex_)
+                      for _ in range(6)])
+    assert_matches_dense(stack)
+    assert_matches_dense(stack.reshape(2, 3, 18, 18))
+
+
+def test_min_eigenvalues_dense_diagonal_and_1x1(rng):
+    for complex_ in (False, True):
+        assert_matches_dense(random_hermitian(9, rng, complex_))
+    d = rng.normal(size=(4, 10))
+    assert np.array_equal(min_eigenvalues(d[..., None] * np.eye(10)),
+                          d.min(axis=1))
+    assert min_eigenvalues(np.array([[-2.5]])) == -2.5
+    assert np.array_equal(min_eigenvalues(np.array([[[3.0]], [[-1.0 + 0j]]])),
+                          [3.0, -1.0])
+    assert min_eigenvalues(np.zeros((5, 5))) == 0.0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_min_eigenvalues_reads_the_lower_triangle(rng, complex_):
+    m = hidden_block_diagonal([3, 5, 1, 4], rng, complex_)
+    upper = np.triu(rng.normal(size=m.shape), 1) * (m != 0)
+    near = m + 1e-3 * upper
+    assert abs(dense_min(near) - np.linalg.eigvalsh(near, UPLO="U")[0]) > 1e-6
+    assert_matches_dense(near)
+
+
+def test_min_eigenvalues_real_path_for_zero_imaginary_part(rng):
+    m = hidden_block_diagonal([2, 6, 1], rng, False)
+    assert np.array_equal(min_eigenvalues(m.astype(complex)), min_eigenvalues(m))
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_is_psd_verdicts_match_dense_on_extension_grid():
+    """Every two-extension of one benchmark round (seed 0): the sector split
+    gives the dense solve's verdict."""
+    wl = load_bench_workloads()
+    tol = wl.TOL_PSD
+    built = 0
+    for rows in wl.extension_points(0, 0, wl.EXTENSION_POINTS[0]):
+        decays = {(j + 1, i): row[i] / wl.EXT_STEPS
+                  for j, row in enumerate(rows) for i in range(j + 1)
+                  if row[i] > 0}
+        try:
+            tau = build_two_extension(TransitionMatrix(wl.EXT_DIM, decays)).tau
+        except ConditionViolatedError:
+            continue  # known float-boundary point
+        built += 1
+        dense = dense_min(tau.astype(complex)) >= -tol * max(1.0, np.abs(tau).max())
+        assert is_psd(tau, tol) == dense
+    assert built > 3000
 
 
 def test_random_density_matrix_is_valid(rng):

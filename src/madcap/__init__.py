@@ -12,7 +12,8 @@ from .maps import LinearMap
 from .structure import (ClassificationResult, build_two_extension,
                         capacity_positive_witness, choi_of, connecting_choi,
                         degrading_map, is_antidegradable, is_degradable,
-                        mad_choi_state, monotonicity_certificate)
+                        mad_choi_state, mad_choi_states,
+                        monotonicity_certificate, two_extension_taus)
 from .capacity import (CapacityCertificate, adc_capacity, certify_capacity,
                        coherent_information, diagonal_coherent_information,
                        mad3_acge_verification, max_diagonal_coherent_info,

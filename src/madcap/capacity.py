@@ -63,31 +63,80 @@ def diagonal_coherent_information(tm: TransitionMatrix, p: np.ndarray) -> float:
     return shannon_entropy(out) - shannon_entropy(np.asarray(env))
 
 
-def _diag_ic_batch(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized diagonal coherent information over rows of ``pts``."""
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, 0 where x <= 1e-12. Overwrites ``x`` (pass a
+    fresh array): on the d = 4 start grid every large temporary costs
+    page faults."""
+    np.copyto(x, 1.0, where=x <= 1e-12)
+    terms = np.log2(x)
+    terms *= x
+    return terms
+
+
+def _row_sum(cols: List[np.ndarray]) -> np.ndarray:
+    """Sum of equal-length vectors in the order numpy's row sum adds the
+    entries of a short row (eight accumulators, then the remainder; a plain
+    left fold below eight), so it equals np.stack(cols, axis=1).sum(axis=1)
+    bit for bit for up to 128 vectors, numpy's pairwise block size."""
+    n = len(cols)
+    if n < 8:
+        total = cols[0]
+        for c in cols[1:]:
+            total = total + c
+        return total
+    acc = list(cols[:8])
+    full = n - n % 8
+    for k in range(8, full):
+        acc[k % 8] = acc[k % 8] + cols[k]
+    total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+             + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+    for c in cols[full:]:
+        total = total + c
+    return total
+
+
+def _diag_ic_batch(g: np.ndarray, steps: int) -> np.ndarray:
+    """Diagonal coherent information at every point of _simplex_grid(d, steps).
+
+    The output distribution (pts @ g) and the first environment entry
+    (pts @ diag(g)) take a log per point. Every other environment entry
+    gamma_ji p_j depends on the level p_j = k/steps alone, so its x log2 x
+    term is read from a (steps + 1)-entry table indexed by the grid's
+    integer levels. Both entropies sum their terms in numpy's row-sum
+    order, so the values equal x log2 x over the stacked columns summed by
+    .sum(axis=1), bit for bit."""
     d = g.shape[0]
-    out = pts @ g
-    env_cols = [pts @ np.diag(g)]
-    for j, i in _env_pairs(d):
-        env_cols.append(g[j, i] * pts[:, j])
-    env = np.stack(env_cols, axis=1)
+    pts = _simplex_grid(d, steps)
+    levels = _simplex_levels(d, steps)
+    fractions = np.arange(steps + 1) / steps
+    env = [_xlog2x(pts @ np.diag(g))]
+    env += [_xlog2x(g[j, i] * fractions)[levels[:, j]]
+            for j, i in _env_pairs(d)]
+    out = _xlog2x(pts @ g)
+    return _row_sum(env) - _row_sum(list(out.T))
 
-    def ent(x):
-        x = np.where(x > 1e-12, x, 1.0)
-        return -np.sum(x * np.log2(x), axis=1)
 
-    return ent(out) - ent(env)
+@lru_cache(maxsize=16)
+def _simplex_levels(d: int, steps: int) -> np.ndarray:
+    """All compositions of ``steps`` into d nonnegative integer parts, in
+    lexicographic order: the simplex grid in units of 1/steps."""
+    parts = np.zeros((1, 0), dtype=np.intp)
+    left = np.array([steps])
+    for _ in range(d - 1):
+        counts = left + 1
+        rows = np.repeat(np.arange(len(left)), counts)
+        k = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.column_stack([parts[rows], k])
+        left = left[rows] - k
+    levels = np.column_stack([parts, left])
+    levels.flags.writeable = False  # shared by every caller of the cache
+    return levels
 
 
 @lru_cache(maxsize=16)
 def _simplex_grid(d: int, steps: int) -> np.ndarray:
     """All probability vectors with entries k/steps on the (d-1)-simplex."""
-    combos = itertools.combinations(range(steps + d - 1), d - 1)
-    cuts = np.array(list(combos), dtype=int).reshape(-1, d - 1)
-    padded = np.hstack([np.full((cuts.shape[0], 1), -1), cuts,
-                        np.full((cuts.shape[0], 1), steps + d - 1)])
-    parts = np.diff(padded, axis=1) - 1
-    grid = parts / steps
+    grid = _simplex_levels(d, steps) / steps
     grid.flags.writeable = False  # shared by every caller of the cache
     return grid
 
@@ -113,7 +162,11 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float
 def max_diagonal_coherent_info(tm: TransitionMatrix,
                                grid_step: float = 0.02) -> Tuple[float, np.ndarray]:
     """Maximize I_c over diagonal inputs: coarse simplex grid followed by
-    coordinate-pairwise golden-section ascent. Along a pair slice
+    coordinate-pairwise golden-section ascent. The grid is evaluated from
+    per-level tables: each environment entry gamma_ji p_j with j > 0 takes
+    one of steps + 1 values, so its entropy term is looked up by the
+    point's integer level, and only the d output entries and the first
+    environment entry take a log per point. Along a pair slice
     p_i = t, p_j = m - t the output distribution Gamma^T p and the
     environment distribution are affine in t, so each slice evaluates
     H(out) - H(env) from a base and a direction vector fixed per slice.
@@ -125,7 +178,7 @@ def max_diagonal_coherent_info(tm: TransitionMatrix,
     g = tm.gamma
     steps = max(1, int(round(1.0 / grid_step)))
     pts = _simplex_grid(d, steps)
-    vals = _diag_ic_batch(g, pts)
+    vals = _diag_ic_batch(g, steps)
     p = pts[int(np.argmax(vals))].copy()
     best = diagonal_coherent_information(tm, p)
     # rows: the output distribution, then the environment one, as linear

@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
 Sweeps are parallel over grid points but results are always emitted in
 lexicographic grid order, so output files are byte-identical for any thread
-count.
+count. Diagnostics (sweep progress, conditioning warnings) are log records of
+the ``madcap`` loggers; while a command runs they are printed to stderr.
 """
 import argparse
 import itertools
 import json
+import logging
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +24,10 @@ from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
 
 _DEG_CODE = {"yes": "1", "no": "0", "boundary": "boundary", "unknown": "unknown"}
+
+# Named, not __name__: run as ``python -m madcap.cli`` this module is
+# __main__, outside the "madcap" logger that main() prints to stderr.
+logger = logging.getLogger("madcap.cli")
 
 
 def _fmt(x) -> str:
@@ -161,7 +168,7 @@ def cmd_sweep(args) -> int:
         for idx, out in enumerate(pool.map(_sweep_point, tasks)):
             results.append(out)
             if (idx + 1) % 500 == 0:
-                print(f"progress: {idx + 1}/{len(tasks)}", file=sys.stderr)
+                logger.info("progress: %d/%d", idx + 1, len(tasks))
     header = ",".join(slot_names + ["degradable", "antidegradable", "min_eig",
                                     "cert_kind", "cert_value"])
     lines = [header]
@@ -287,16 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _diagnostics_to_stderr():
+    """Print the package's log records (sweep progress, conditioning
+    warnings) to stderr as bare messages while a command runs."""
+    log = logging.getLogger("madcap")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    except MadcapError as exc:
-        return _fail(str(exc), 2)
-    except np.linalg.LinAlgError as exc:
-        return _fail(f"numeric failure: {exc}", 1)
+    with _diagnostics_to_stderr():
+        try:
+            return args.func(args)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
+        except MadcapError as exc:
+            return _fail(str(exc), 2)
+        except np.linalg.LinAlgError as exc:
+            return _fail(f"numeric failure: {exc}", 1)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ A single-decay factor with amplitude g < 1 has the pseudo-Kraus inverse
 and the full MAD inverse composes the single-decay inverses of the channel's
 single-decay decomposition, in reverse order, into one superoperator.
 """
-import warnings
+import logging
 
 import numpy as np
 
@@ -15,6 +15,8 @@ from .errors import SingularInverseError
 from .maps import LinearMap
 
 CONDITIONING_WARN = 1e-6
+
+logger = logging.getLogger(__name__)
 
 
 def single_decay_inverse(k: int, n: int, amplitude: float, d: int) -> LinearMap:
@@ -47,9 +49,8 @@ def mad_inverse(tm: TransitionMatrix) -> LinearMap:
             f"inverse undefined: gamma_kk = 0 at level(s) {singular}")
     small = [k for k in range(1, d) if tm.gamma[k, k] < CONDITIONING_WARN]
     if small:
-        warnings.warn(
-            f"mad_inverse poorly conditioned: gamma_kk < {CONDITIONING_WARN} "
-            f"at level(s) {small}", RuntimeWarning, stacklevel=2)
+        logger.warning("mad_inverse poorly conditioned: gamma_kk < %g at "
+                       "level(s) %s", CONDITIONING_WARN, small)
     factors = decompose_single_decays(tm)
     if not factors:
         return LinearMap.identity(d)

@@ -10,7 +10,9 @@ and maps populations by Gamma^{-T}. A single channel is a batch of one.
 Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
-lower bound.
+lower bound. The two-extension and the Choi state are scattered for a whole
+Gamma stack from per-dimension index tables, in the order their defining sums
+add the entries.
 """
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -153,20 +155,63 @@ def is_antidegradable(tm: TransitionMatrix) -> bool:
     return all(g[j, 0] - g[j, j] >= 0.0 for j in range(1, tm.dim))
 
 
+def _scatter(layers: tuple, values: np.ndarray, n: int) -> np.ndarray:
+    """Stack (B, n, n) of zeros with each layer's values added at its flat
+    positions; ``values`` is (B, K) and a layer is (positions, columns)
+    with no position repeated, so later layers add onto earlier ones."""
+    out = np.zeros((len(values), n * n))
+    # index the first axis of the transposes: numpy's fast path for one Gamma
+    out_t, values_t = out.T, values.T
+    for pos, col in layers:
+        out_t[pos] += values_t[col]
+    return out.reshape(-1, n, n)
+
+
+def _layered(adds: list) -> tuple:
+    """Split (position, column) additions, listed in the order the defining
+    sums add them, into layers with no repeated position; the k-th addition
+    to a position goes to layer k, so each entry is summed in that order."""
+    layers, seen = [], {}
+    for pos, col in adds:
+        k = seen[pos] = seen.get(pos, -1) + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append((pos, col))
+    tables = []
+    for layer in layers:
+        table = np.array(layer, dtype=np.intp).T.copy()
+        table.flags.writeable = False  # shared by every caller of the cache
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _choi_plan(d: int) -> tuple:
+    """Scatter plan of the MAD Choi state (d² × d², before the 1/d) over the
+    values [Gamma, sqrt(gamma_jj gamma_ii)], each flattened d × d."""
+    n = d * d
+    adds = [((j * d + i) * n + j * d + i, j * d + i)
+            for j in range(d) for i in range(j + 1)]
+    adds += [((j * d + j) * n + i * d + i, n + j * d + i)
+             for j in range(d) for i in range(d) if i != j]
+    return _layered(adds)
+
+
+def mad_choi_states(gammas: np.ndarray) -> np.ndarray:
+    """State-normalized Choi matrices (B, d², d²) of the MAD channels of a
+    Gamma stack (B, d, d), scattered from per-d index tables."""
+    g = np.asarray(gammas, dtype=float)
+    b, d, _ = g.shape
+    surv = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
+    values = np.concatenate([g, surv[:, :, None] * surv[:, None, :]],
+                            axis=1).reshape(b, 2 * d * d)
+    return _scatter(_choi_plan(d), values, d * d) / d
+
+
 def mad_choi_state(tm: TransitionMatrix) -> np.ndarray:
-    """State-normalized Choi of the MAD channel, assembled in closed form."""
-    d = tm.dim
-    g = tm.gamma
-    c = np.zeros((d * d, d * d))
-    for j in range(d):
-        for i in range(j + 1):
-            c[j * d + i, j * d + i] = g[j, i]
-    surv = np.sqrt(np.diag(g))
-    for j in range(d):
-        for i in range(d):
-            if i != j:
-                c[j * d + j, i * d + i] = surv[j] * surv[i]
-    return c / d
+    """State-normalized Choi of the MAD channel, as a batch of one of
+    mad_choi_states."""
+    return mad_choi_states(tm.gamma[None])[0]
 
 
 @dataclass
@@ -176,64 +221,94 @@ class TwoExtension:
     p: np.ndarray    # p[j, i] distribution rows
 
 
-def _extension_p(tm: TransitionMatrix) -> np.ndarray:
-    d = tm.dim
-    g = tm.gamma
-    p = np.zeros((d, d))
+@lru_cache(maxsize=None)
+def _extension_plan(d: int) -> tuple:
+    """Scatter plan of the two-extension tau (d³ × d³, before the 1/d) over
+    the values [Gamma, p·delta, -p·delta, sqrt(gamma_jj gamma_ii)], each
+    flattened d × d, where delta_j = gamma_j0 - gamma_jj.
+
+    The diagonal-in-A part holds gamma_jj on the 2 × 2 block of |j,0,j>,
+    |j,j,0>, gamma_ji on |j,i,i>, and the redistributed excess p_ji delta_j
+    on |j,0,i> and |j,i,0> (taken back off |j,i,i>); the off-diagonal-in-A
+    part couples the 'both copies intact' states with weight
+    sqrt(gamma_jj gamma_ii)."""
+    n = d ** 3
+    e = d * d
+    gam, pd, npd, cross = 0, e, 2 * e, 3 * e
+
+    def idx(a: int, b1: int, b2: int) -> int:
+        return (a * d + b1) * d + b2
+
+    adds = []
+
+    def add(r: int, c: int, col: int) -> None:
+        adds.append((r * n + c, col))
+
+    add(idx(0, 0, 0), idx(0, 0, 0), gam)
     for j in range(1, d):
-        if g[j, j] < 1.0:
-            p[j, :j] = g[j, :j] / (1.0 - g[j, j])
-    return p
+        r1, r2 = idx(j, 0, j), idx(j, j, 0)
+        for r, c in ((r1, r1), (r2, r2), (r1, r2), (r2, r1)):
+            add(r, c, gam + j * d + j)
+        for i in range(1, j):
+            add(idx(j, i, i), idx(j, i, i), gam + j * d + i)
+        for i in range(j):
+            add(idx(j, 0, i), idx(j, 0, i), pd + j * d + i)
+        for i in range(1, j):
+            add(idx(j, i, 0), idx(j, i, 0), pd + j * d + i)
+            add(idx(j, i, i), idx(j, i, i), npd + j * d + i)
+    for j in range(d):
+        for i in range(d):
+            if i == j:
+                continue
+            col = cross + j * d + i
+            add(idx(j, 0, j), idx(i, 0, i), col)
+            add(idx(j, j, 0), idx(i, i, 0), col)
+            if j > 0 and i > 0:
+                add(idx(j, j, 0), idx(i, 0, i), col)
+                add(idx(j, 0, j), idx(i, i, 0), col)
+    return _layered(adds)
+
+
+def _two_extensions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-extension witnesses (B, d³, d³) and their distributions p
+    (B, d, d) of a Gamma stack, with p_ji = gamma_ji / (1 - gamma_jj) for
+    i < j (0 where gamma_jj = 1)."""
+    b, d, _ = g.shape
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    rows = np.tri(d, d, -1, dtype=bool) & (diag < 1.0)[:, :, None]
+    p = np.divide(g, (1.0 - diag)[:, :, None], out=np.zeros_like(g),
+                  where=rows)
+    pd = p * (g[:, :, 0] - diag)[:, :, None]
+    surv = np.sqrt(diag)
+    values = np.concatenate([g, pd, -pd, surv[:, :, None] * surv[:, None, :]],
+                            axis=1).reshape(b, 4 * d * d)
+    tau = _scatter(_extension_plan(d), values, d ** 3)
+    tau /= d
+    return tau, p
+
+
+def two_extension_taus(gammas: np.ndarray) -> np.ndarray:
+    """Two-extension witnesses tau (B, d³, d³) on A ⊗ B1 ⊗ B2 of a Gamma
+    stack (B, d, d), scattered from per-d index tables. Each tau's two
+    partial traces equal the channel's Choi state; it is PSD exactly when
+    the channel is antidegradable. No antidegradability check: see
+    build_two_extension for the guarded single witness."""
+    return _two_extensions(np.asarray(gammas, dtype=float))[0]
 
 
 def build_two_extension(tm: TransitionMatrix) -> TwoExtension:
     """Tripartite witness tau on A ⊗ B1 ⊗ B2 whose two partial traces both
     equal the channel's Choi state; PSD exactly when the channel is
-    antidegradable. Uses p_i^(j) = gamma_ji / (1 - gamma_jj)."""
+    antidegradable. Uses p_i^(j) = gamma_ji / (1 - gamma_jj); a batch of one
+    of two_extension_taus."""
     if not is_antidegradable(tm):
         raise ConditionViolatedError("two-extension requires antidegradability")
-    d = tm.dim
     g = tm.gamma
-    for j in range(1, d):
+    for j in range(1, tm.dim):
         if g[j, 0] - g[j, j] > 0.0 and g[j, j] >= 1.0:
             raise ConditionViolatedError(f"1 - gamma_jj vanishes at level {j}")
-    p = _extension_p(tm)
-    n = d ** 3
-    tau = np.zeros((n, n))
-
-    def idx(a: int, b1: int, b2: int) -> int:
-        return (a * d + b1) * d + b2
-
-    # Diagonal-in-A part.
-    tau[idx(0, 0, 0), idx(0, 0, 0)] = g[0, 0]
-    for j in range(1, d):
-        delta = g[j, 0] - g[j, j]
-        r1, r2 = idx(j, 0, j), idx(j, j, 0)
-        tau[r1, r1] += g[j, j]
-        tau[r2, r2] += g[j, j]
-        tau[r1, r2] += g[j, j]
-        tau[r2, r1] += g[j, j]
-        for i in range(1, j):
-            tau[idx(j, i, i), idx(j, i, i)] += g[j, i]
-        for i in range(j):
-            tau[idx(j, 0, i), idx(j, 0, i)] += p[j, i] * delta
-        for i in range(1, j):
-            tau[idx(j, i, 0), idx(j, i, 0)] += p[j, i] * delta
-            tau[idx(j, i, i), idx(j, i, i)] -= p[j, i] * delta
-    # Off-diagonal-in-A part.
-    surv = np.sqrt(np.diag(g))
-    for j in range(d):
-        for i in range(d):
-            if i == j:
-                continue
-            c = surv[j] * surv[i]
-            tau[idx(j, 0, j), idx(i, 0, i)] += c
-            tau[idx(j, j, 0), idx(i, i, 0)] += c
-            if j > 0 and i > 0:
-                tau[idx(j, j, 0), idx(i, 0, i)] += c
-                tau[idx(j, 0, j), idx(i, i, 0)] += c
-    tau /= d
-    return TwoExtension(d, tau, p)
+    tau, p = _two_extensions(g[None])
+    return TwoExtension(tm.dim, tau[0], p[0])
 
 
 def _lg_f(x: float) -> float:

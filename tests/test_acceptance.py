@@ -23,10 +23,10 @@ from madcap.complementary import complementary_apply, env_dim, \
 from madcap.inverse import mad_inverse
 from madcap.linalg import (min_eigenvalues, partial_trace,
                            random_density_matrix)
-from madcap.structure import (build_two_extension, connecting_choi,
-                              connecting_eigenvalues, is_antidegradable,
-                              is_degradable, mad_choi_state,
-                              monotonicity_certificate)
+from madcap.structure import (connecting_choi, connecting_eigenvalues,
+                              is_antidegradable, is_degradable,
+                              mad_choi_states, monotonicity_certificate,
+                              two_extension_taus)
 
 
 def example_channel(gamma10, gamma32, gamma30):
@@ -77,66 +77,73 @@ def row_antidegradable(rows, steps):
     return rows[:, 0] >= row_diagonal(rows, steps)
 
 
-def build_tau_batch(d, big_g):
-    """Vectorized two-extension assembly; big_g has shape (n, d, d)."""
-    n_pts = big_g.shape[0]
+def reference_tau(tm):
+    """Scalar two-extension assembly, entry by entry: the independent
+    reference for the library's table-driven two_extension_taus."""
+    d = tm.dim
+    g = tm.gamma
+    p = np.zeros((d, d))
+    for j in range(1, d):
+        if g[j, j] < 1.0:
+            p[j, :j] = g[j, :j] / (1.0 - g[j, j])
     n = d ** 3
-    tau = np.zeros((n_pts, n, n))
+    tau = np.zeros((n, n))
 
     def idx(a, b1, b2):
         return (a * d + b1) * d + b2
 
-    diag = big_g[:, np.arange(d), np.arange(d)]
-    tau[:, idx(0, 0, 0), idx(0, 0, 0)] += big_g[:, 0, 0]
+    # Diagonal-in-A part.
+    tau[idx(0, 0, 0), idx(0, 0, 0)] = g[0, 0]
     for j in range(1, d):
-        delta = big_g[:, j, 0] - big_g[:, j, j]
-        denom = 1.0 - diag[:, j]
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
+        delta = g[j, 0] - g[j, j]
         r1, r2 = idx(j, 0, j), idx(j, j, 0)
-        tau[:, r1, r1] += big_g[:, j, j]
-        tau[:, r2, r2] += big_g[:, j, j]
-        tau[:, r1, r2] += big_g[:, j, j]
-        tau[:, r2, r1] += big_g[:, j, j]
+        tau[r1, r1] += g[j, j]
+        tau[r2, r2] += g[j, j]
+        tau[r1, r2] += g[j, j]
+        tau[r2, r1] += g[j, j]
         for i in range(1, j):
-            tau[:, idx(j, i, i), idx(j, i, i)] += big_g[:, j, i]
+            tau[idx(j, i, i), idx(j, i, i)] += g[j, i]
         for i in range(j):
-            p = big_g[:, j, i] * inv
-            tau[:, idx(j, 0, i), idx(j, 0, i)] += p * delta
+            tau[idx(j, 0, i), idx(j, 0, i)] += p[j, i] * delta
         for i in range(1, j):
-            p = big_g[:, j, i] * inv
-            tau[:, idx(j, i, 0), idx(j, i, 0)] += p * delta
-            tau[:, idx(j, i, i), idx(j, i, i)] -= p * delta
-    surv = np.sqrt(diag)
+            tau[idx(j, i, 0), idx(j, i, 0)] += p[j, i] * delta
+            tau[idx(j, i, i), idx(j, i, i)] -= p[j, i] * delta
+    # Off-diagonal-in-A part.
+    surv = np.sqrt(np.diag(g))
     for j in range(d):
         for i in range(d):
             if i == j:
                 continue
-            c = surv[:, j] * surv[:, i]
-            tau[:, idx(j, 0, j), idx(i, 0, i)] += c
-            tau[:, idx(j, j, 0), idx(i, i, 0)] += c
+            c = surv[j] * surv[i]
+            tau[idx(j, 0, j), idx(i, 0, i)] += c
+            tau[idx(j, j, 0), idx(i, i, 0)] += c
             if j > 0 and i > 0:
-                tau[:, idx(j, j, 0), idx(i, 0, i)] += c
-                tau[:, idx(j, 0, j), idx(i, i, 0)] += c
+                tau[idx(j, j, 0), idx(i, 0, i)] += c
+                tau[idx(j, 0, j), idx(i, i, 0)] += c
     return tau / d
 
 
-def build_choi_batch(d, big_g):
-    n_pts = big_g.shape[0]
-    c = np.zeros((n_pts, d * d, d * d))
+def reference_choi(tm):
+    """Scalar MAD Choi-state assembly: the reference for mad_choi_states."""
+    d = tm.dim
+    g = tm.gamma
+    c = np.zeros((d * d, d * d))
     for j in range(d):
         for i in range(j + 1):
-            c[:, j * d + i, j * d + i] = big_g[:, j, i]
-    surv = np.sqrt(big_g[:, np.arange(d), np.arange(d)])
+            c[j * d + i, j * d + i] = g[j, i]
+    surv = np.sqrt(np.diag(g))
     for j in range(d):
         for i in range(d):
             if i != j:
-                c[:, j * d + j, i * d + i] = surv[:, j] * surv[:, i]
+                c[j * d + j, i * d + i] = surv[j] * surv[i]
     return c / d
 
 
 def batch_min_eig_ok(tau, tol=1e-9):
-    """PSD check for a batch: sector-split minimum eigenvalues."""
-    scale = np.maximum(1.0, np.abs(tau).max(axis=(1, 2)))
+    """PSD check for a batch: sector-split minimum eigenvalues, against
+    tol times the largest |entry| (from max and min: tau is real)."""
+    scale = np.maximum(1.0, np.maximum(tau.max(axis=(1, 2)),
+                                       -tau.min(axis=(1, 2))))
     return bool(np.all(min_eigenvalues(tau) >= -tol * scale))
 
 
@@ -167,8 +174,8 @@ def gamma_batch_d4(rows1, rows2, rows3, i1, i2, i3, steps):
 def check_extension_batch(d, big_g):
     """Assert every point in the batch has a PSD two-extension whose partial
     traces both reproduce the Choi state to 1e-10."""
-    tau = build_tau_batch(d, big_g)
-    choi = build_choi_batch(d, big_g)
+    tau = two_extension_taus(big_g)
+    choi = mad_choi_states(big_g)
     t = tau.reshape(tau.shape[0], d, d, d, d, d, d)
     tr_b2 = np.einsum('nabcdec->nabde', t).reshape(choi.shape)
     tr_b1 = np.einsum('nabcdbe->nacde', t).reshape(choi.shape)
@@ -216,11 +223,11 @@ class TestAcceptance3AntidegradabilityEquivalence:
                 if not is_antidegradable(tm):
                     continue
                 done += 1
-                ref = build_two_extension(tm).tau
-                vec = build_tau_batch(d, tm.gamma[None, :, :])[0]
+                ref = reference_tau(tm)
+                vec = two_extension_taus(tm.gamma[None, :, :])[0]
                 assert np.max(np.abs(ref - vec)) < 1e-12
-                ref_c = mad_choi_state(tm)
-                vec_c = build_choi_batch(d, tm.gamma[None, :, :])[0]
+                ref_c = reference_choi(tm)
+                vec_c = mad_choi_states(tm.gamma[None, :, :])[0]
                 assert np.max(np.abs(ref_c - vec_c)) < 1e-12
 
     def test_d3_grid(self):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -78,6 +79,36 @@ class TestCoherentInformation:
                 assert fast == pytest.approx(dense, abs=1e-9)
 
 
+def reference_grid_values(g, pts):
+    """Diagonal coherent information at the rows of ``pts``: x log2 x over
+    the stacked output and environment columns, summed by .sum(axis=1)."""
+    d = g.shape[0]
+    out = pts @ g
+    env = np.stack([pts @ np.diag(g)]
+                   + [g[j, i] * pts[:, j] for j in range(1, d)
+                      for i in range(j)], axis=1)
+
+    def ent(x):
+        x = np.where(x > 1e-12, x, 1.0)
+        return -np.sum(x * np.log2(x), axis=1)
+
+    return ent(out) - ent(env)
+
+
+def grid_test_channels(d, rng):
+    """Random channels plus the identity, a complete-damping one (gamma_kk
+    = 0 at the top level) and ones with some decays exactly zero."""
+    yield TransitionMatrix(d, {})
+    yield TransitionMatrix(d, {(d - 1, 0): 1.0})
+    yield TransitionMatrix(d, {(d - 1, d - 2): 0.4})
+    for _ in range(6):
+        tm = random_transition_matrix(d, rng)
+        yield tm
+        kept = {k: v for n, (k, v) in enumerate(sorted(tm.decays.items()))
+                if n % 2 == 0}
+        yield TransitionMatrix(d, kept)
+
+
 class TestDiagonalMaximization:
     def test_identity_d4(self):
         val, p = max_diagonal_coherent_info(TransitionMatrix(4, {}))
@@ -115,6 +146,54 @@ class TestDiagonalMaximization:
             grid[0, 0] = 0.5
         _, p = max_diagonal_coherent_info(TransitionMatrix(3, {(2, 0): 0.3}))
         p[0] = 0.5  # the maximizer hands back its own, writable copy
+
+    def test_simplex_grid_is_every_composition_in_lexicographic_order(self):
+        for d, steps in ((2, 50), (3, 50), (4, 50), (4, 7)):
+            rows = [list(c) + [steps - sum(c)]
+                    for c in itertools.product(range(steps + 1), repeat=d - 1)
+                    if sum(c) <= steps]
+            levels = capacity._simplex_levels(d, steps)
+            assert levels.tolist() == rows
+            assert np.array_equal(capacity._simplex_grid(d, steps),
+                                  np.array(rows) / steps)
+
+    def test_cached_level_table_is_read_only(self):
+        levels = capacity._simplex_levels(3, 50)
+        with pytest.raises(ValueError):
+            levels[0, 0] = 1
+
+    def test_table_driven_grid_equals_reference_bit_for_bit(self, rng):
+        for d in (2, 3, 4):
+            pts = capacity._simplex_grid(d, 50)
+            for tm in grid_test_channels(d, rng):
+                got = capacity._diag_ic_batch(tm.gamma, 50)
+                want = reference_grid_values(tm.gamma, pts)
+                assert got.tobytes() == want.tobytes(), (d, tm.decays)
+
+    def test_d5_maximizer_keeps_reference_argmax(self, rng):
+        pts = capacity._simplex_grid(5, 50)
+        for tm in (TransitionMatrix(5, {(4, 0): 1.0}),
+                   random_transition_matrix(5, rng),
+                   random_transition_matrix(5, rng)):
+            vals = capacity._diag_ic_batch(tm.gamma, 50)
+            want = reference_grid_values(tm.gamma, pts)
+            assert np.argmax(vals) == np.argmax(want)
+            # eleven environment columns: numpy's pairwise row-sum order
+            assert vals.tobytes() == want.tobytes()
+            val, p = max_diagonal_coherent_info(tm)
+            assert abs(val - diagonal_coherent_information(tm, p)) <= 1e-12
+
+    def test_anchor_maxima_are_unchanged(self):
+        """(value, p) recorded before the start grid became table-driven."""
+        readme = TransitionMatrix(4, {(1, 0): 0.7, (3, 2): 0.35,
+                                      (3, 0): 0.35})
+        val, p = max_diagonal_coherent_info(readme)
+        assert (val, p.tolist()) == (1.0, [0.5, 0.0, 0.5, 0.0])
+        lower = TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3, (2, 0): 0.2})
+        val, p = max_diagonal_coherent_info(lower)
+        assert (val, p.tolist()) == (
+            0.41503749927884376,
+            [0.5555555501486094, 0.44444444985139064, 0.0])
 
     def test_relabeling_invariance(self):
         tm = single_decay_matrix(3, 2, 0, 0.4)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -149,6 +150,21 @@ class TestSweep:
         assert main(["--threads", "4", "sweep", str(spec),
                      "--out", str(out4)]) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+
+    def test_long_sweep_logs_progress(self, tmp_path, caplog, capsys):
+        payload = adc_sweep_spec(step=0.002)  # 501 points
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "sweep.csv"
+        with caplog.at_level(logging.INFO, logger="madcap.cli"):
+            assert main(["sweep", str(spec), "--out", str(out)]) == 0
+        progress = [r.getMessage() for r in caplog.records
+                    if r.name == "madcap.cli"]
+        assert progress == ["progress: 500/501"]
+        err = capsys.readouterr().err
+        assert err.startswith("progress: 500/501\n")
+        assert len(out.read_text().strip().split("\n")) == 502
 
 
 class TestMad3:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,11 @@ class TestMadInverse:
         with pytest.raises(SingularInverseError, match=r"\[2\]"):
             mad_inverse(tm)
 
-    def test_conditioning_warning(self):
+    def test_conditioning_warning(self, caplog):
         tm = TransitionMatrix(2, {(1, 0): 1.0 - 1e-8})
-        with pytest.warns(RuntimeWarning, match="poorly conditioned"):
+        with caplog.at_level(logging.WARNING, logger="madcap.inverse"):
             mad_inverse(tm)
+        assert [(r.name, r.levelno) for r in caplog.records] == \
+            [("madcap.inverse", logging.WARNING)]
+        assert caplog.records[0].getMessage() == (
+            "mad_inverse poorly conditioned: gamma_kk < 1e-06 at level(s) [1]")

@@ -8,12 +8,14 @@ from madcap.errors import (ConditionViolatedError, NotComparableError,
                            SingularInverseError)
 from madcap.inverse import mad_inverse
 from madcap.linalg import partial_trace, random_density_matrix
+from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
                               connecting_eigenvalues, degradability_status,
                               degrading_chois, degrading_map,
                               is_antidegradable, is_degradable,
-                              mad_choi_state, monotonicity_certificate)
+                              mad_choi_state, mad_choi_states,
+                              monotonicity_certificate, two_extension_taus)
 
 
 def example_channel(gamma10, gamma32, gamma30):
@@ -194,6 +196,33 @@ class TestTwoExtension:
             assert np.max(np.abs(partial_trace(tau, [d] * 3, [0, 1])
                                  - c)) < 1e-10
             assert np.linalg.eigvalsh(tau)[0] > -1e-9
+
+    def test_stack_equals_single_witnesses_bit_for_bit(self, rng):
+        for d in (2, 3, 4, 5):
+            tms = [TransitionMatrix(d, {(j, 0): 1.0 for j in range(1, d)})]
+            while len(tms) < 7:
+                tm = random_transition_matrix(d, rng)
+                if is_antidegradable(tm):
+                    tms.append(tm)
+            stack = np.stack([tm.gamma for tm in tms])
+            taus = two_extension_taus(stack)
+            chois = mad_choi_states(stack)
+            for k, tm in enumerate(tms):
+                ext = build_two_extension(tm)
+                assert taus[k].tobytes() == ext.tau.tobytes()
+                assert chois[k].tobytes() == mad_choi_state(tm).tobytes()
+                g = tm.gamma
+                p = np.zeros((d, d))
+                for j in range(1, d):
+                    p[j, :j] = g[j, :j] / (1.0 - g[j, j])
+                assert ext.p.tobytes() == p.tobytes()
+
+    def test_cached_scatter_plans_are_read_only(self):
+        for plan in (structure._extension_plan(3), structure._choi_plan(3)):
+            for table in plan:
+                for column in table:
+                    with pytest.raises(ValueError):
+                        column[0] = 0
 
     def test_rejects_non_antidegradable(self):
         with pytest.raises(ConditionViolatedError):

@@ -315,10 +315,13 @@ class CapacityCertificate:
         return json.dumps(payload)
 
 
-# Certificates by (Gamma key, tolerances, depth cap); at most
-# _CERT_CACHE_MAX entries, the oldest evicted first. Sweep threads share it.
+# Certificates by (Gamma key, tolerances, depth cap), and the final bracket
+# of the last border search of each predicate (_border_key). Each map holds
+# at most its cap, the oldest entries evicted first. Sweep threads share both.
 _CERT_CACHE: dict = {}
 _CERT_CACHE_MAX = 8192
+_BRACKETS: dict = {}
+_BRACKETS_MAX = 8192
 _CERT_LOCK = threading.Lock()
 
 # A border search bisects 60 levels deep, _LEVELS_PER_ROUND levels per
@@ -327,6 +330,14 @@ _CERT_LOCK = threading.Lock()
 # the d = 4 quadrant together.
 _BISECT_LEVELS = 60
 _LEVELS_PER_ROUND = 3
+
+
+def _remember(cache: dict, key, value, cap: int) -> None:
+    """cache[key] = value, then evict the oldest entries beyond ``cap``."""
+    with _CERT_LOCK:
+        cache[key] = value
+        while len(cache) > cap:
+            del cache[next(iter(cache))]
 
 
 def _noiseless_log2(tm: TransitionMatrix) -> float:
@@ -377,33 +388,83 @@ def _degradable_at(tm: TransitionMatrix, j: int, i: int, ts, tol_psd: float,
     return (status == "yes") | (status == "boundary")
 
 
-def _border(pred_batch, lo: float, hi: float) -> float:
+def _border_key(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
+                zeroed: Optional[Tuple[int, int]] = None) -> tuple:
+    """Names the predicate _degradable_at(tm, j, i, ., tol_psd, zeroed).
+    Gamma at t = 0 fixes Gamma(t) for every t (same off-diagonals, t at
+    (j, i), diagonals recomputed), so searches along the same line share a
+    key whichever point and caller they start from."""
+    return (_decay_stack(tm, j, i, [0.0], zeroed)[0].tobytes(), j, i, tol_psd)
+
+
+def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
+    """True once no later bisection level can move lo: the next midpoint
+    rounds to lo, or to an hi already evaluated false."""
+    mid = 0.5 * (lo + hi)
+    return mid == lo or (mid == hi and hi_tested)
+
+
+def _border(pred_batch, lo: float, hi: float, key=None) -> float:
     """Largest t in [lo, hi] with pred true, assuming pred(lo) and not
     pred(hi), by bisection on the boolean, _BISECT_LEVELS levels deep.
 
     ``pred_batch`` maps an array of t to an array of booleans. Each round
-    evaluates every midpoint of the next levels of the bisection tree in one
-    call, in heap order, then walks the tree with the results, so the answer
-    equals that of sequential bisection with the same midpoints."""
-    left = _BISECT_LEVELS
-    while left:
-        k = min(_LEVELS_PER_ROUND, left)
-        level, mids = [(lo, hi)], []
-        for _ in range(k):
-            nxt = []
-            for a, b in level:
+    evaluates a set of midpoints in one call, then walks them with the
+    results, so the answer equals that of sequential bisection with the
+    same midpoints:
+      - with ``key`` naming a predicate searched before, the first round
+        predicts the whole path from that search's final bracket
+        (lo*, hi*), "true" iff mid < hi*, and evaluates every midpoint on
+        it; the walk applies results up to and including the first wrong
+        prediction;
+      - every other round evaluates the midpoints of the next
+        _LEVELS_PER_ROUND levels of the bisection tree, in heap order.
+    Only evaluated results are applied, so a stale or wrong bracket costs
+    time, never the answer. The search stops once float resolution leaves
+    lo fixed (_settled); the initial hi counts as untested. The final
+    bracket is remembered under ``key``."""
+    with _CERT_LOCK:
+        known = None if key is None else _BRACKETS.get(key)
+    left, hi_tested = _BISECT_LEVELS, False
+    while left and not _settled(lo, hi, hi_tested):
+        if known is not None:
+            _, hi_known = known
+            mids, guesses = [], []
+            a, b, b_tested = lo, hi, hi_tested
+            while len(mids) < left and not _settled(a, b, b_tested):
                 mid = 0.5 * (a + b)
                 mids.append(mid)
-                nxt += [(a, mid), (mid, b)]
-            level = nxt
+                guesses.append(mid < hi_known)
+                if guesses[-1]:
+                    a = mid
+                else:
+                    b, b_tested = mid, True
+            known = None
+        else:
+            level, mids, guesses = [(lo, hi)], [], None
+            for _ in range(min(_LEVELS_PER_ROUND, left)):
+                nxt = []
+                for a, b in level:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    nxt += [(a, mid), (mid, b)]
+                level = nxt
         ok = pred_batch(np.array(mids))
         node = 0
-        for _ in range(k):
+        while node < len(mids):
             if ok[node]:
-                lo, node = mids[node], 2 * node + 2
+                lo = mids[node]
             else:
-                hi, node = mids[node], 2 * node + 1
-        left -= k
+                hi, hi_tested = mids[node], True
+            left -= 1
+            if guesses is None:
+                node = 2 * node + 1 + bool(ok[node])  # heap order
+            elif ok[node] == guesses[node]:
+                node += 1
+            else:
+                break
+    if key is not None:
+        _remember(_BRACKETS, key, (lo, hi), _BRACKETS_MAX)
     return lo
 
 
@@ -439,10 +500,7 @@ def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
         return hit
     cert = _certify(tm, tol_border, tol_psd, _depth,
                     {} if _diag is None else _diag)
-    with _CERT_LOCK:
-        _CERT_CACHE[key] = cert
-        while len(_CERT_CACHE) > _CERT_CACHE_MAX:
-            del _CERT_CACHE[next(iter(_CERT_CACHE))]
+    _remember(_CERT_CACHE, key, cert, _CERT_CACHE_MAX)
     return cert
 
 
@@ -521,7 +579,8 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         if not sub.exact or sub.value is None:
             continue
         t_border = _border(
-            lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji)
+            lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji,
+            _border_key(tm, j, i, tol_psd))
         tm_lo = tm.with_decay(j, i, t_border)
         v_low = _diag_max(tm_lo, memo)
         if abs(v_low - sub.value) > tol_border:
@@ -563,7 +622,8 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
             at_top, at_zero = pred([gji, 0.0])
             if at_top or not at_zero:
                 continue
-            t_star = _border(pred, 0.0, gji)
+            t_star = _border(pred, 0.0, gji,
+                             _border_key(tm, j, i, tol_psd, (j2, i2)))
             if t_star >= gji - 1e-9:
                 continue
             sub = certify_capacity(tm.with_decay(j, i, t_star),

@@ -6,6 +6,8 @@ level |j> decays onto |i> (i < j). The diagonal gamma_jj = 1 - sum_{i<j}
 gamma_ji is the survival probability of level j.
 """
 import json
+from functools import reduce
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -30,21 +32,24 @@ class TransitionMatrix:
         if dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
         self.dim = dim
-        g = np.zeros((dim, dim))
-        decays = decays or {}
-        for (j, i), p in decays.items():
+        # Python floats, row-major, turned into an array once: at d <= 4 a
+        # numpy call per row or entry costs more than the arithmetic
+        g = [0.0] * (dim * dim)
+        for (j, i), p in (decays or {}).items():
             if not (0 <= i < j < dim):
                 raise IndexOutOfRangeError(
                     f"decay ({j}->{i}) needs 0 <= target < source < dim={dim}")
             if p < -ROW_SUM_TOL or p > 1 + ROW_SUM_TOL:
                 raise InvalidStateError(f"decay probability {p} outside [0, 1]")
-            g[j, i] = min(max(p, 0.0), 1.0)
+            g[j * dim + i] = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
         for j in range(dim):
-            s = g[j, :j].sum()
+            row = g[j * dim:j * dim + j]
+            # the rounding of np.sum over the row: a left fold below 8 terms
+            s = reduce(add, row, 0.0) if j < 8 else float(np.sum(row))
             if s > 1 + ROW_SUM_TOL:
                 raise InvalidStateError(f"row {j} decay probabilities sum to {s} > 1")
-            g[j, j] = max(1.0 - s, 0.0)
-        self.gamma = g
+            g[j * (dim + 1)] = max(1.0 - s, 0.0)
+        self.gamma = np.array(g).reshape(dim, dim)
         self.gamma.flags.writeable = False
 
     @classmethod

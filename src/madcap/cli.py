@@ -1,10 +1,11 @@
 """Command-line front end: analyze | sweep | mad3 | selftest.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
-Sweeps are parallel over grid points but results are always emitted in
-lexicographic grid order, so output files are byte-identical for any thread
-count. Diagnostics (sweep progress, conditioning warnings) are log records of
-the ``madcap`` loggers; while a command runs they are printed to stderr.
+Sweeps run serially by default (--threads N spreads grid points over N
+threads), and results are always emitted in lexicographic grid order, so
+output files are byte-identical for any thread count. Diagnostics (sweep
+progress, conditioning warnings) are log records of the ``madcap`` loggers;
+while a command runs they are printed to stderr.
 """
 import argparse
 import itertools
@@ -268,8 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-border", type=float, default=1e-6,
                         help="capacity-equality tolerance at region borders")
     parser.add_argument("--grid-step", type=float, default=0.05)
-    parser.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="sweep worker threads (default 1: the "
+                             "certificate cascade holds the GIL, so more "
+                             "threads only contend; output is the same at "
+                             "any count)")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

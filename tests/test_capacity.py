@@ -435,6 +435,103 @@ class TestBorderSearch:
         got = capacity._border(pred, 0.0, 0.7)
         assert got == sequential_bisection(lambda t: bool(pred(t)), 0.0, 0.7)
 
+    @staticmethod
+    def brackets(rng, hi):
+        """Stored brackets a search may meet: a true one, a wrong one and
+        random garbage (reversed, out of range, infinite, nan)."""
+        t_other = float(rng.uniform(0.0, hi))
+        return [None, (t_other, np.nextafter(t_other, 1.0)),
+                (float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))),
+                (hi, 0.0), (-np.inf, np.inf), (np.nan, np.nan), (5.0, 7.0)]
+
+    @pytest.mark.parametrize("levels", [1, 3, 4, 7])
+    def test_remembered_brackets_keep_sequential_answers(self, rng,
+                                                         monkeypatch, levels):
+        monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
+        monkeypatch.setattr(capacity, "_BRACKETS", {})
+
+        def sin_pred(t):
+            return np.sin(1.0 / (np.asarray(t) + 1e-3)) > 0.0
+
+        for k in range(8):
+            hi = float(rng.uniform(0.01, 1.0))
+            t_star = float(rng.uniform(0.0, hi))
+            cases = [(lambda ts, t=t_star: ts <= t, hi),
+                     (lambda ts, t=t_star: ts < t, hi), (sin_pred, 0.7)]
+            for pred, top in cases:
+                want = sequential_bisection(lambda t: bool(pred(t)), 0.0, top)
+                # the store first empty, then holding this search's bracket
+                assert capacity._border(pred, 0.0, top, ("k", k)) == want
+                assert capacity._border(pred, 0.0, top, ("k", k)) == want
+                for stored in self.brackets(rng, top):
+                    if stored is None:
+                        capacity._BRACKETS.pop(("k", k))
+                    else:
+                        capacity._BRACKETS[("k", k)] = stored
+                    assert capacity._border(pred, 0.0, top, ("k", k)) == want
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_float_resolution_stop_keeps_sequential_answers(self, rng, width):
+        for _ in range(50):
+            lo = float(rng.uniform(0.0, 1.0))
+            hi = lo
+            for _ in range(width):
+                hi = float(np.nextafter(hi, 2.0))
+            # pred true at hi, which _border never assumes tested
+            for pred in (lambda ts: ts <= hi, lambda ts: ts < hi,
+                         lambda ts: ts <= lo):
+                calls = []
+
+                def counting(ts, pred=pred):
+                    calls.append(len(ts))
+                    return pred(ts)
+
+                want = sequential_bisection(lambda t: bool(pred(t)), lo, hi)
+                assert capacity._border(counting, lo, hi) == want
+                assert len(calls) <= 2 * width
+
+    def test_repeated_search_needs_at_most_two_batches(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_BRACKETS", {})
+        calls = []
+
+        def counting(pred):
+            def wrapped(ts):
+                calls.append(len(ts))
+                return pred(ts)
+            return wrapped
+
+        # the d = 3 LowerBound anchor's (2, 1) axis, with and without
+        # (1, 0) zeroed, and a threshold, each searched again over ranges
+        # that hold the border found first
+        tm = ANCHORS[0]
+        cases = [(lambda ts: capacity._degradable_at(tm, 2, 1, ts, 1e-9),
+                  [0.3, 0.3, 0.25, 0.2]),
+                 (lambda ts: capacity._degradable_at(tm, 2, 1, ts, 1e-9,
+                                                    (1, 0)), [0.7, 0.7, 0.5]),
+                 (lambda ts: ts <= 0.123, [0.5, 0.5, 0.2, 0.9])]
+        for n, (pred, tops) in enumerate(cases):
+            want = capacity._border(counting(pred), 0.0, tops[0], n)
+            assert len(calls) > 2
+            for top in tops[1:]:
+                calls.clear()
+                got = capacity._border(counting(pred), 0.0, top, n)
+                assert got == sequential_bisection(
+                    lambda t: bool(pred(np.array([t]))[0]), 0.0, top)
+                assert len(calls) <= 2
+                if top == tops[0]:
+                    assert got == want and len(calls) == 1
+
+    def test_sandwich_and_pin_share_a_key_for_one_predicate(self):
+        tm = TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3})
+        assert (capacity._border_key(tm, 2, 1, 1e-9)
+                == capacity._border_key(tm, 2, 1, 1e-9, (2, 0)))
+        assert (capacity._border_key(tm, 2, 1, 1e-9)
+                != capacity._border_key(tm, 2, 1, 1e-9, (1, 0)))
+        assert (capacity._border_key(tm, 2, 1, 1e-9)
+                == capacity._border_key(tm.with_decay(2, 1, 0.6), 2, 1, 1e-9))
+        assert (capacity._border_key(tm, 2, 1, 1e-9)
+                != capacity._border_key(tm, 2, 1, 1e-8))
+
     def test_decay_stack_equals_with_decay(self, rng):
         for d in (3, 4):
             for _ in range(5):
@@ -491,18 +588,43 @@ class TestCertificateCache:
             assert len(capacity._CERT_CACHE) <= 3
         assert evicting == cold
 
-    def test_threads_share_a_small_cache(self, monkeypatch):
-        # cheap antidegradable channels, so nearly all the time goes to the
-        # cache; with a cap of 2 every insertion evicts
-        tms = [TransitionMatrix(2, {(1, 0): 0.5 + 1e-4 * k}) for k in range(4000)]
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
-        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 2)
+    def test_certificates_ignore_the_bracket_store(self, rng, monkeypatch):
+        tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
+
+        def certify_all():
+            out = []
+            for tm in tms:
+                monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+                cert = certify_capacity(tm)
+                out.append((cert.kind, repr(cert.value), cert.provenance))
+                assert len(capacity._BRACKETS) <= capacity._BRACKETS_MAX
+            return out
+
+        keys, cold = set(), []
+        for tm in tms:
+            monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+            monkeypatch.setattr(capacity, "_BRACKETS", {})
+            cert = certify_capacity(tm)
+            cold.append((cert.kind, repr(cert.value), cert.provenance))
+            keys |= set(capacity._BRACKETS)
+        assert len(keys) > 2
+        garbage = {k: tuple(rng.uniform(-0.5, 1.5, 2)) for k in keys}
+        monkeypatch.setattr(capacity, "_BRACKETS", garbage)
+        assert certify_all() == cold
+        monkeypatch.setattr(capacity, "_BRACKETS", {})
+        monkeypatch.setattr(capacity, "_BRACKETS_MAX", 2)
+        assert certify_all() == cold
+
+    @staticmethod
+    def run_threads(work_item, n_items):
+        """Eight threads each run work_item over a permutation of
+        range(n_items) with a 1 us switch interval, all without error."""
         errors, done = [], []
 
         def work(seed):
             try:
-                for k in np.random.default_rng(seed).permutation(len(tms)):
-                    assert certify_capacity(tms[k]).kind == "Zero"
+                for k in np.random.default_rng(seed).permutation(n_items):
+                    work_item(int(k))
                 done.append(seed)
             except Exception as exc:  # KeyError or RuntimeError from a race
                 errors.append(exc)
@@ -520,7 +642,36 @@ class TestCertificateCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert sorted(done) == list(range(8))
+
+    def test_threads_share_a_small_cache(self, monkeypatch):
+        # cheap antidegradable channels, so nearly all the time goes to the
+        # cache; with a cap of 2 every insertion evicts
+        tms = [TransitionMatrix(2, {(1, 0): 0.5 + 1e-4 * k}) for k in range(4000)]
+        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 2)
+
+        def item(k):
+            assert certify_capacity(tms[k]).kind == "Zero"
+
+        self.run_threads(item, len(tms))
         assert len(capacity._CERT_CACHE) <= 2
+
+    def test_threads_share_a_small_bracket_store(self, monkeypatch):
+        # threshold searches over 16 keys; with a cap of 2 nearly every
+        # search evicts, and a search meets brackets other threads stored
+        thresholds = np.linspace(0.05, 0.95, 16)
+        want = [sequential_bisection(lambda t, c=c: t <= c, 0.0, 1.0)
+                for c in thresholds]
+        monkeypatch.setattr(capacity, "_BRACKETS", {})
+        monkeypatch.setattr(capacity, "_BRACKETS_MAX", 2)
+
+        def item(k):
+            c = thresholds[k % 16]
+            got = capacity._border(lambda ts: ts <= c, 0.0, 1.0, k % 16)
+            assert got == want[k % 16]
+
+        self.run_threads(item, 160)
+        assert len(capacity._BRACKETS) <= 2
 
 
 class TestMad3Verification:

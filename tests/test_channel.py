@@ -11,7 +11,7 @@ from madcap.channel import (TransitionMatrix, apply, channel_map,
                             single_decay_matrix, swap_unitary)
 from madcap.errors import (DegenerateDecompositionError,
                            DimensionMismatchError, IndexOutOfRangeError,
-                           MadcapError)
+                           InvalidStateError, MadcapError)
 from madcap.linalg import is_psd, random_density_matrix
 
 
@@ -57,6 +57,70 @@ class TestTransitionMatrix:
         payload = {"dim": 2, "decays": [{"from": 1, "to": 0, "p": 1.5}]}
         with pytest.raises(MadcapError):
             TransitionMatrix.from_json(json.dumps(payload))
+
+    @staticmethod
+    def loop_gamma(dim, decays):
+        """Gamma entry by entry with a numpy row sum per level: the
+        constructor's arithmetic spelled out, or the error it must raise."""
+        g = np.zeros((dim, dim))
+        for (j, i), p in decays.items():
+            if not (0 <= i < j < dim):
+                return IndexOutOfRangeError(
+                    f"decay ({j}->{i}) needs 0 <= target < source < dim={dim}")
+            if p < -1e-12 or p > 1 + 1e-12:
+                return InvalidStateError(f"decay probability {p} outside [0, 1]")
+            g[j, i] = min(max(p, 0.0), 1.0)
+        for j in range(dim):
+            s = g[j, :j].sum()
+            if s > 1 + 1e-12:
+                return InvalidStateError(
+                    f"row {j} decay probabilities sum to {s} > 1")
+            g[j, j] = max(1.0 - s, 0.0)
+        return g
+
+    def assert_same_as_loop(self, dim, decays):
+        want = self.loop_gamma(dim, decays)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as err:
+                TransitionMatrix(dim, decays)
+            assert str(err.value) == str(want)
+        else:
+            assert TransitionMatrix(dim, decays).gamma.tobytes() == want.tobytes()
+
+    def test_gamma_bit_identical_to_row_sum_loop(self, rng):
+        # rows of 8 or more decays sum in numpy's pairwise order
+        for d in range(2, 11):
+            for _ in range(200):
+                decays = {}
+                scale = rng.choice([1.0, 1e-3, 1.0 + 5e-13, 1.1])
+                for j in range(1, d):
+                    w = rng.dirichlet(np.ones(j + 1)) * scale
+                    for i in range(j):
+                        u = rng.random()
+                        if u < 0.2:
+                            continue
+                        decays[(j, i)] = (0.0 if u < 0.3 else
+                                          -1e-13 if u < 0.35 else
+                                          w[i] if u < 0.6 else float(w[i]))
+                self.assert_same_as_loop(d, decays)
+
+    def test_gamma_bit_identical_on_the_lattice(self):
+        steps = [t / 10 for t in range(11)]
+        for a in steps:
+            for b in steps:
+                for c in steps:
+                    self.assert_same_as_loop(
+                        3, {(1, 0): a, (2, 0): b, (2, 1): c})
+
+    def test_constructor_errors_unchanged(self):
+        for dim, decays in [(3, {(0, 2): 0.5}), (3, {(1, 1): 0.5}),
+                            (2, {(2, 0): 0.1}), (2, {(1, 0): 1.5}),
+                            (3, {(1, 0): -0.2}), (3, {(2, 0): 0.7, (2, 1): 0.5}),
+                            (3, {(2, 0): 2.0, (0, 1): 0.1}),
+                            (3, {(0, 1): 0.1, (2, 0): 2.0})]:
+            self.assert_same_as_loop(dim, decays)
+        with pytest.raises(DimensionMismatchError):
+            TransitionMatrix(0)
 
 
 class TestKraus:

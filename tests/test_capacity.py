@@ -437,10 +437,10 @@ class TestBorderSearch:
 
     @staticmethod
     def brackets(rng, hi):
-        """Stored brackets a search may meet: a true one, a wrong one and
-        random garbage (reversed, out of range, infinite, nan)."""
+        """Stored brackets a search may meet besides its own: a wrong one
+        and random garbage (reversed, out of range, infinite, nan)."""
         t_other = float(rng.uniform(0.0, hi))
-        return [None, (t_other, np.nextafter(t_other, 1.0)),
+        return [(t_other, np.nextafter(t_other, 1.0)),
                 (float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))),
                 (hi, 0.0), (-np.inf, np.inf), (np.nan, np.nan), (5.0, 7.0)]
 
@@ -464,10 +464,7 @@ class TestBorderSearch:
                 assert capacity._border(pred, 0.0, top, ("k", k)) == want
                 assert capacity._border(pred, 0.0, top, ("k", k)) == want
                 for stored in self.brackets(rng, top):
-                    if stored is None:
-                        capacity._BRACKETS.pop(("k", k))
-                    else:
-                        capacity._BRACKETS[("k", k)] = stored
+                    capacity._BRACKETS[("k", k)] = stored
                     assert capacity._border(pred, 0.0, top, ("k", k)) == want
 
     @pytest.mark.parametrize("width", [1, 2, 3])

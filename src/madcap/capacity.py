@@ -34,6 +34,7 @@ from .structure import (best_capacity_witness, degradability_status,
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
+_GRID_STEPS = 50  # the diagonal maximizer's start grid has spacing 1/50
 
 EXACT_KINDS = ("Zero", "ExactDegradable", "ExactByReduction",
                "ExactByRegionExtension")
@@ -159,26 +160,25 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float
     return x, f(x)
 
 
-def max_diagonal_coherent_info(tm: TransitionMatrix,
-                               grid_step: float = 0.02) -> Tuple[float, np.ndarray]:
-    """Maximize I_c over diagonal inputs: coarse simplex grid followed by
-    coordinate-pairwise golden-section ascent. The grid is evaluated from
-    per-level tables: each environment entry gamma_ji p_j with j > 0 takes
-    one of steps + 1 values, so its entropy term is looked up by the
-    point's integer level, and only the d output entries and the first
-    environment entry take a log per point. Along a pair slice
-    p_i = t, p_j = m - t the output distribution Gamma^T p and the
-    environment distribution are affine in t, so each slice evaluates
-    H(out) - H(env) from a base and a direction vector fixed per slice.
+def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]:
+    """Maximize I_c over diagonal inputs: coarse simplex grid (spacing
+    1/_GRID_STEPS) followed by coordinate-pairwise golden-section ascent.
+    The grid is evaluated from per-level tables: each environment entry
+    gamma_ji p_j with j > 0 takes one of _GRID_STEPS + 1 values, so its
+    entropy term is looked up by the point's integer level, and only the d
+    output entries and the first environment entry take a log per point.
+    Along a pair slice p_i = t, p_j = m - t the output distribution
+    Gamma^T p and the environment distribution are affine in t, so each
+    slice evaluates H(out) - H(env) from a base and a direction vector
+    fixed per slice.
     For degradable channels this equals the quantum capacity; otherwise it
     is a lower bound."""
     d = tm.dim
     if d == 1:
         return 0.0, np.ones(1)
     g = tm.gamma
-    steps = max(1, int(round(1.0 / grid_step)))
-    pts = _simplex_grid(d, steps)
-    vals = _diag_ic_batch(g, steps)
+    pts = _simplex_grid(d, _GRID_STEPS)
+    vals = _diag_ic_batch(g, _GRID_STEPS)
     p = pts[int(np.argmax(vals))].copy()
     best = diagonal_coherent_information(tm, p)
     # rows: the output distribution, then the environment one, as linear
@@ -315,13 +315,17 @@ class CapacityCertificate:
         return json.dumps(payload)
 
 
-# Certificates by (Gamma key, tolerances, depth cap), and the final bracket
-# of the last border search of each predicate (_border_key). Each map holds
-# at most its cap, the oldest entries evicted first. Sweep threads share both.
+# The process's stores: certificates by (Gamma key, tolerances, depth cap),
+# diagonal maxima by exact Gamma bytes, and the final bracket of the last
+# border search of each predicate (_border_key). One madcap command is one
+# process, so these maps are the store of one sweep. Each holds at most
+# _STORE_MAX entries, the oldest evicted first; they are kept apart so that
+# bracket churn never evicts certificates. The lock is for library callers
+# that certify from several threads.
 _CERT_CACHE: dict = {}
-_CERT_CACHE_MAX = 8192
+_DIAG_MAX: dict = {}
 _BRACKETS: dict = {}
-_BRACKETS_MAX = 8192
+_STORE_MAX = 8192
 _CERT_LOCK = threading.Lock()
 
 # A border search bisects 60 levels deep, _LEVELS_PER_ROUND levels per
@@ -332,12 +336,22 @@ _BISECT_LEVELS = 60
 _LEVELS_PER_ROUND = 3
 
 
-def _remember(cache: dict, key, value, cap: int) -> None:
-    """cache[key] = value, then evict the oldest entries beyond ``cap``."""
+def _remember(store: dict, key, value) -> None:
+    """store[key] = value, then evict the oldest entries beyond _STORE_MAX."""
     with _CERT_LOCK:
-        cache[key] = value
-        while len(cache) > cap:
-            del cache[next(iter(cache))]
+        store[key] = value
+        while len(store) > _STORE_MAX:
+            del store[next(iter(store))]
+
+
+def _stored(store: dict, key, compute):
+    """store[key], or compute() remembered there on a miss."""
+    with _CERT_LOCK:
+        value = store.get(key)
+    if value is None:
+        value = compute()
+        _remember(store, key, value)
+    return value
 
 
 def _noiseless_log2(tm: TransitionMatrix) -> float:
@@ -408,63 +422,53 @@ def _border(pred_batch, lo: float, hi: float, key=None) -> float:
     """Largest t in [lo, hi] with pred true, assuming pred(lo) and not
     pred(hi), by bisection on the boolean, _BISECT_LEVELS levels deep.
 
-    ``pred_batch`` maps an array of t to an array of booleans. Each round
-    evaluates a set of midpoints in one call, then walks them with the
-    results, so the answer equals that of sequential bisection with the
-    same midpoints:
+    ``pred_batch`` maps an array of t to an array of booleans. Whenever the
+    next midpoint has no verdict yet, one call evaluates a round of
+    midpoints:
       - with ``key`` naming a predicate searched before, the first round
         predicts the whole path from that search's final bracket
         (lo*, hi*), "true" iff mid < hi*, and evaluates every midpoint on
-        it; the walk applies results up to and including the first wrong
-        prediction;
+        it;
       - every other round evaluates the midpoints of the next
-        _LEVELS_PER_ROUND levels of the bisection tree, in heap order.
-    Only evaluated results are applied, so a stale or wrong bracket costs
-    time, never the answer. The search stops once float resolution leaves
-    lo fixed (_settled); the initial hi counts as untested. The final
-    bracket is remembered under ``key``."""
+        _LEVELS_PER_ROUND levels of the bisection tree.
+    Each step applies the verdict at its own midpoint, so the answer equals
+    that of sequential bisection, and a stale or wrong bracket costs time,
+    never the answer. The search stops once float resolution leaves lo
+    fixed (_settled); the initial hi counts as untested. The final bracket
+    is remembered under ``key``."""
     with _CERT_LOCK:
         known = None if key is None else _BRACKETS.get(key)
-    left, hi_tested = _BISECT_LEVELS, False
+    left, hi_tested, verdicts = _BISECT_LEVELS, False, {}
     while left and not _settled(lo, hi, hi_tested):
-        if known is not None:
-            _, hi_known = known
-            mids, guesses = [], []
-            a, b, b_tested = lo, hi, hi_tested
-            while len(mids) < left and not _settled(a, b, b_tested):
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                guesses.append(mid < hi_known)
-                if guesses[-1]:
-                    a = mid
-                else:
-                    b, b_tested = mid, True
-            known = None
+        mid = 0.5 * (lo + hi)
+        if mid not in verdicts:
+            if known is not None:
+                mids, a, b, b_tested = [], lo, hi, hi_tested
+                while len(mids) < left and not _settled(a, b, b_tested):
+                    m = 0.5 * (a + b)
+                    mids.append(m)
+                    if m < known[1]:
+                        a = m
+                    else:
+                        b, b_tested = m, True
+                known = None
+            else:
+                mids, level = [], [(lo, hi)]
+                for _ in range(min(_LEVELS_PER_ROUND, left)):
+                    nxt = []
+                    for a, b in level:
+                        m = 0.5 * (a + b)
+                        mids.append(m)
+                        nxt += [(a, m), (m, b)]
+                    level = nxt
+            verdicts = dict(zip(mids, pred_batch(np.array(mids))))
+        if verdicts[mid]:
+            lo = mid
         else:
-            level, mids, guesses = [(lo, hi)], [], None
-            for _ in range(min(_LEVELS_PER_ROUND, left)):
-                nxt = []
-                for a, b in level:
-                    mid = 0.5 * (a + b)
-                    mids.append(mid)
-                    nxt += [(a, mid), (mid, b)]
-                level = nxt
-        ok = pred_batch(np.array(mids))
-        node = 0
-        while node < len(mids):
-            if ok[node]:
-                lo = mids[node]
-            else:
-                hi, hi_tested = mids[node], True
-            left -= 1
-            if guesses is None:
-                node = 2 * node + 1 + bool(ok[node])  # heap order
-            elif ok[node] == guesses[node]:
-                node += 1
-            else:
-                break
+            hi, hi_tested = mid, True
+        left -= 1
     if key is not None:
-        _remember(_BRACKETS, key, (lo, hi), _BRACKETS_MAX)
+        _remember(_BRACKETS, key, (lo, hi))
     return lo
 
 
@@ -489,30 +493,24 @@ def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
 
 
 def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
-                     tol_psd: float = 1e-9, _depth: int = 0,
-                     _diag: Optional[dict] = None) -> CapacityCertificate:
-    """Certificate for the quantum capacity of ``tm``. ``_diag`` memoizes
-    diagonal maxima by exact Gamma within one top-level call."""
+                     tol_psd: float = 1e-9,
+                     _depth: int = 0) -> CapacityCertificate:
+    """Certificate for the quantum capacity of ``tm``. Certificates and the
+    diagonal maxima they use are remembered in the process's stores, so
+    repeated and overlapping calls reuse earlier work."""
     key = (tm.key(), round(tol_border, 15), tol_psd, _depth >= _MAX_DEPTH)
-    with _CERT_LOCK:
-        hit = _CERT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cert = _certify(tm, tol_border, tol_psd, _depth,
-                    {} if _diag is None else _diag)
-    _remember(_CERT_CACHE, key, cert, _CERT_CACHE_MAX)
-    return cert
+    return _stored(_CERT_CACHE, key,
+                   lambda: _certify(tm, tol_border, tol_psd, _depth))
 
 
-def _diag_max(tm: TransitionMatrix, memo: dict) -> float:
-    key = tm.gamma.tobytes()
-    if key not in memo:
-        memo[key], _ = max_diagonal_coherent_info(tm)
-    return memo[key]
+def _diag_max(tm: TransitionMatrix) -> float:
+    # the maximizer is a pure function of the exact Gamma bytes
+    return _stored(_DIAG_MAX, tm.gamma.tobytes(),
+                   lambda: max_diagonal_coherent_info(tm)[0])
 
 
 def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
-             _depth: int, memo: dict) -> CapacityCertificate:
+             _depth: int) -> CapacityCertificate:
     d = tm.dim
     if is_antidegradable(tm):
         return CapacityCertificate(
@@ -522,7 +520,7 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
     if not zeros:
         res = is_degradable(tm, tol_psd)
         if res.degradable in ("yes", "boundary"):
-            val = _diag_max(tm, memo)
+            val = _diag_max(tm)
             note = "" if res.degradable == "yes" else " (boundary)"
             return CapacityCertificate(
                 "ExactDegradable", val,
@@ -533,8 +531,7 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         if found is not None:
             perm, relabeled = found
             reduced = reduce_complete_damping(relabeled)
-            sub = certify_capacity(reduced, tol_border, tol_psd, _depth + 1,
-                                   memo)
+            sub = certify_capacity(reduced, tol_border, tol_psd, _depth + 1)
             prov = [f"complete damping after level relabeling {perm}",
                     f"reduced to {reduced.dim} levels"] + sub.provenance
             if sub.exact:
@@ -543,13 +540,13 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
                 return CapacityCertificate("LowerBound", sub.value, prov)
 
     if _depth < _MAX_DEPTH:
-        pinned = _try_axis_sandwich(tm, tol_border, tol_psd, _depth, memo)
+        pinned = _try_axis_sandwich(tm, tol_border, tol_psd, _depth)
         if pinned is not None:
             return pinned
 
-    lb = max(_diag_max(tm, memo), _noiseless_log2(tm), best_capacity_witness(tm))
+    lb = max(_diag_max(tm), _noiseless_log2(tm), best_capacity_witness(tm))
     if _depth < _MAX_DEPTH:
-        pinned = _try_monotone_pin(tm, lb, tol_border, tol_psd, _depth, memo)
+        pinned = _try_monotone_pin(tm, lb, tol_border, tol_psd, _depth)
         if pinned is not None:
             return pinned
     if lb > 0.0:
@@ -561,7 +558,7 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
 
 
 def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
-                       _depth: int, memo: dict) -> Optional[CapacityCertificate]:
+                       _depth: int) -> Optional[CapacityCertificate]:
     """Exact value by matching the degradable border and the complete-damping
     border along one decay entry, with a monotone connecting path."""
     d = tm.dim
@@ -575,14 +572,14 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         # The complete-damping end does not depend on the border, so an axis
         # whose end has no exact value is dropped before the border search.
         tm_hi = tm.with_decay(j, i, gji + gjj)
-        sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1, memo)
+        sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1)
         if not sub.exact or sub.value is None:
             continue
         t_border = _border(
             lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji,
             _border_key(tm, j, i, tol_psd))
         tm_lo = tm.with_decay(j, i, t_border)
-        v_low = _diag_max(tm_lo, memo)
+        v_low = _diag_max(tm_lo)
         if abs(v_low - sub.value) > tol_border:
             continue
         if not _monotone_axis(tm, j, i):
@@ -598,8 +595,8 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
 
 
 def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
-                      tol_psd: float, _depth: int,
-                      memo: dict) -> Optional[CapacityCertificate]:
+                      tol_psd: float,
+                      _depth: int) -> Optional[CapacityCertificate]:
     """Exact value by pinning: decrease an always-monotone entry to the last
     point that is exactly certifiable (upper bound U) and compare with the
     independent lower bound ``lower`` (L); |U - L| <= tol pins the capacity."""
@@ -627,7 +624,7 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
             if t_star >= gji - 1e-9:
                 continue
             sub = certify_capacity(tm.with_decay(j, i, t_star),
-                                   tol_border, tol_psd, _depth + 1, memo)
+                                   tol_border, tol_psd, _depth + 1)
             if not sub.exact or sub.value is None:
                 continue
             if abs(sub.value - lower) <= tol_border:

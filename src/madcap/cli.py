@@ -1,11 +1,12 @@
 """Command-line front end: analyze | sweep | mad3 | selftest.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
-Sweeps run serially by default (--threads N spreads grid points over N
-threads), and results are always emitted in lexicographic grid order, so
-output files are byte-identical for any thread count. Diagnostics (sweep
-progress, conditioning warnings) are log records of the ``madcap`` loggers;
-while a command runs they are printed to stderr.
+Sweeps certify one grid point after another in lexicographic grid order.
+One command is one process, and the certificates, diagonal maxima and
+border brackets that the capacity module remembers for the process are
+what later points of a sweep reuse. Diagnostics (sweep progress,
+conditioning warnings) are log records of the ``madcap`` loggers; while a
+command runs they are printed to stderr.
 """
 import argparse
 import itertools
@@ -14,7 +15,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -165,11 +165,10 @@ def cmd_sweep(args) -> int:
     tasks = [(dim, decays, slot_names, coords, analyses, mono,
               args.tol_psd, args.tol_border) for coords in grid]
     results = []
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        for idx, out in enumerate(pool.map(_sweep_point, tasks)):
-            results.append(out)
-            if (idx + 1) % 500 == 0:
-                logger.info("progress: %d/%d", idx + 1, len(tasks))
+    for idx, task in enumerate(tasks):
+        results.append(_sweep_point(task))
+        if (idx + 1) % 500 == 0:
+            logger.info("progress: %d/%d", idx + 1, len(tasks))
     header = ",".join(slot_names + ["degradable", "antidegradable", "min_eig",
                                     "cert_kind", "cert_value"])
     lines = [header]
@@ -269,11 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-border", type=float, default=1e-6,
                         help="capacity-equality tolerance at region borders")
     parser.add_argument("--grid-step", type=float, default=0.05)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="sweep worker threads (default 1: the "
-                             "certificate cascade holds the GIL, so more "
-                             "threads only contend; output is the same at "
-                             "any count)")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -69,23 +69,8 @@ def complementary_map(tm: TransitionMatrix) -> LinearMap:
     operators (Ktilde_b)_{a m} = (K_a)_{b m}.
     """
     d = tm.dim
-    g = tm.gamma
-    e = env_dim(d)
-    labels = env_basis(d)
-    # Environment slot of each Kraus operator, matching kraus_from_gamma order.
-    slots = [0]
-    for j in range(1, d):
-        for i in range(j):
-            if g[j, i] > 0.0:
-                slots.append(labels.index((i, j)))
-    kraus = kraus_from_gamma(tm)
-    comp = []
-    for b in range(d):
-        kb = np.zeros((e, d), dtype=complex)
-        for slot, k in zip(slots, kraus):
-            kb[slot, :] = k[b, :]
-        comp.append(kb)
-    return LinearMap.from_kraus(comp)
+    return LinearMap.from_kraus(
+        stinespring_isometry(tm).reshape(d, env_dim(d), d))
 
 
 def stinespring_isometry(tm: TransitionMatrix) -> np.ndarray:

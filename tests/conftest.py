@@ -5,3 +5,17 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_stores(monkeypatch):
+    """Empty certificate, diagonal-maximum and bracket stores for the test.
+    Returns a function that swaps in empty stores again."""
+    from madcap import capacity
+
+    def empty():
+        for name in ("_CERT_CACHE", "_DIAG_MAX", "_BRACKETS"):
+            monkeypatch.setattr(capacity, name, {})
+
+    empty()
+    return empty

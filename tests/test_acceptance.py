@@ -511,7 +511,9 @@ class TestAcceptance7AlgebraicProperties:
 
 
 class TestAcceptance8Determinism:
-    def test_sweep_csv_identical_across_thread_counts(self, tmp_path):
+    def test_sweep_csv_identical_cold_and_warm(self, tmp_path, fresh_stores):
+        # the first sweep starts from empty stores, the second reuses what
+        # the first remembered
         from madcap.cli import main
         spec = {
             "dim": 2,
@@ -522,9 +524,9 @@ class TestAcceptance8Determinism:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"sweep-{threads}.csv"
-            code = main(["--threads", threads, "--seed", "7",
+        for run in ("cold", "warm"):
+            out = tmp_path / f"sweep-{run}.csv"
+            code = main(["--seed", "7",
                          "sweep", str(spec_path), "--out", str(out)])
             assert code == 0
             outputs.append(out.read_bytes())

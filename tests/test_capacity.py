@@ -359,15 +359,15 @@ class TestCertifyCapacity:
         cert = CapacityCertificate("Unknown", None)
         assert not cert.exact
 
-    def test_cache_keeps_psd_tolerances_apart(self, monkeypatch):
+    def test_cache_keeps_psd_tolerances_apart(self, fresh_stores):
         tm = TransitionMatrix(3, {(1, 0): 0.028615813918262577,
                                   (2, 0): 0.4184927064735014,
                                   (2, 1): 0.011965525567453882})
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
         assert certify_capacity(tm, tol_psd=1e-9).kind == "LowerBound"
         assert certify_capacity(tm, tol_psd=1.0).kind == "ExactDegradable"
 
-    def test_programming_errors_in_axis_certificates_propagate(self, monkeypatch):
+    def test_programming_errors_in_axis_certificates_propagate(
+            self, monkeypatch, fresh_stores):
         # the (2, 1) axis is not always monotone, so the sandwich asks
         # _axis_cert_ok for connecting-map certificates
         tm = TransitionMatrix(4, {(2, 0): 0.3, (2, 1): 0.3})
@@ -376,15 +376,14 @@ class TestCertifyCapacity:
             raise TypeError("injected")
 
         monkeypatch.setattr(structure, "monotonicity_certificate", broken)
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
         with pytest.raises(TypeError, match="injected"):
             certify_capacity(tm)
 
-    def test_axis_without_exact_end_skips_border_search(self, monkeypatch):
+    def test_axis_without_exact_end_skips_border_search(self, monkeypatch,
+                                                       fresh_stores):
         # LowerBound anchor: axes (1, 0) and (2, 1) are degradable at t = 0,
         # but only (2, 1) has an exact complete-damping end
         tm = ANCHORS[0]
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
         cert = certify_capacity(tm)
         assert (cert.kind, cert.value) == ("LowerBound", 0.41503749927884376)
         ends = [tm.with_decay(j, i, tm.gamma[j, i] + tm.gamma[j, j])
@@ -399,7 +398,7 @@ class TestCertifyCapacity:
 
         # the ends are cached now, so only the axis loop itself can bisect
         monkeypatch.setattr(capacity, "_border", counting)
-        assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0, {}) is None
+        assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0) is None
         assert len(calls) == 1
 
 
@@ -553,7 +552,8 @@ ANCHORS = [TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3, (2, 0): 0.2}),
 
 
 class TestCertificateCache:
-    def test_diagonal_maximum_once_per_gamma_in_a_call(self, monkeypatch):
+    def test_diagonal_maximum_once_per_gamma_in_a_call(self, monkeypatch,
+                                                       fresh_stores):
         seen = []
         inner = capacity.max_diagonal_coherent_info
 
@@ -562,30 +562,32 @@ class TestCertificateCache:
             return inner(tm, *args, **kwargs)
 
         monkeypatch.setattr(capacity, "max_diagonal_coherent_info", counting)
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
         assert certify_capacity(ANCHORS[0]).kind == "LowerBound"
         assert len(seen) == len(set(seen)) > 1
 
-    def test_cold_warm_and_evicting_caches_agree(self, rng, monkeypatch):
+    def test_cold_warm_and_evicting_caches_agree(self, rng, monkeypatch,
+                                                 fresh_stores):
         tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
         cold = []
         for tm in tms:
-            monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+            fresh_stores()
             cert = certify_capacity(tm)
             cold.append((cert.kind, cert.value))
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
+        fresh_stores()
         warm = [certify_capacity(tm) for tm in reversed(tms)][::-1]
         assert [(c.kind, c.value) for c in warm] == cold
-        monkeypatch.setattr(capacity, "_CERT_CACHE", {})
-        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 3)
+        fresh_stores()
+        monkeypatch.setattr(capacity, "_STORE_MAX", 3)
         evicting = []
         for tm in tms:
             cert = certify_capacity(tm)
             evicting.append((cert.kind, cert.value))
             assert len(capacity._CERT_CACHE) <= 3
+            assert len(capacity._DIAG_MAX) <= 3
         assert evicting == cold
 
-    def test_certificates_ignore_the_bracket_store(self, rng, monkeypatch):
+    def test_certificates_ignore_the_bracket_store(self, rng, monkeypatch,
+                                                   fresh_stores):
         tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
 
         def certify_all():
@@ -594,13 +596,12 @@ class TestCertificateCache:
                 monkeypatch.setattr(capacity, "_CERT_CACHE", {})
                 cert = certify_capacity(tm)
                 out.append((cert.kind, repr(cert.value), cert.provenance))
-                assert len(capacity._BRACKETS) <= capacity._BRACKETS_MAX
+                assert len(capacity._BRACKETS) <= capacity._STORE_MAX
             return out
 
         keys, cold = set(), []
         for tm in tms:
-            monkeypatch.setattr(capacity, "_CERT_CACHE", {})
-            monkeypatch.setattr(capacity, "_BRACKETS", {})
+            fresh_stores()
             cert = certify_capacity(tm)
             cold.append((cert.kind, repr(cert.value), cert.provenance))
             keys |= set(capacity._BRACKETS)
@@ -609,7 +610,7 @@ class TestCertificateCache:
         monkeypatch.setattr(capacity, "_BRACKETS", garbage)
         assert certify_all() == cold
         monkeypatch.setattr(capacity, "_BRACKETS", {})
-        monkeypatch.setattr(capacity, "_BRACKETS_MAX", 2)
+        monkeypatch.setattr(capacity, "_STORE_MAX", 2)
         assert certify_all() == cold
 
     @staticmethod
@@ -645,7 +646,7 @@ class TestCertificateCache:
         # cache; with a cap of 2 every insertion evicts
         tms = [TransitionMatrix(2, {(1, 0): 0.5 + 1e-4 * k}) for k in range(4000)]
         monkeypatch.setattr(capacity, "_CERT_CACHE", {})
-        monkeypatch.setattr(capacity, "_CERT_CACHE_MAX", 2)
+        monkeypatch.setattr(capacity, "_STORE_MAX", 2)
 
         def item(k):
             assert certify_capacity(tms[k]).kind == "Zero"
@@ -660,7 +661,7 @@ class TestCertificateCache:
         want = [sequential_bisection(lambda t, c=c: t <= c, 0.0, 1.0)
                 for c in thresholds]
         monkeypatch.setattr(capacity, "_BRACKETS", {})
-        monkeypatch.setattr(capacity, "_BRACKETS_MAX", 2)
+        monkeypatch.setattr(capacity, "_STORE_MAX", 2)
 
         def item(k):
             c = thresholds[k % 16]

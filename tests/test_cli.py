@@ -140,16 +140,15 @@ class TestSweep:
         assert main(["sweep", str(spec), "--out",
                      str(tmp_path / "x.csv")]) == 2
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_threads_option_exits_2(self, tmp_path):
+        # sweeps are serial; the removed --threads option is malformed input
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(adc_sweep_spec()))
-        out1 = tmp_path / "a.csv"
-        out4 = tmp_path / "b.csv"
-        assert main(["--threads", "1", "sweep", str(spec),
-                     "--out", str(out1)]) == 0
-        assert main(["--threads", "4", "sweep", str(spec),
-                     "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "sweep", str(spec),
+                  "--out", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "a.csv").exists()
 
 
     def test_long_sweep_logs_progress(self, tmp_path, caplog, capsys):

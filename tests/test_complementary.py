@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from madcap.channel import TransitionMatrix, apply, random_transition_matrix
+from madcap.channel import (TransitionMatrix, apply, kraus_from_gamma,
+                            random_transition_matrix)
 from madcap.complementary import (complementary_apply, complementary_map,
                                   env_basis, env_dim, env_index,
                                   stinespring_isometry)
 from madcap.errors import DimensionMismatchError
 from madcap.linalg import partial_trace, random_density_matrix
+from madcap.maps import LinearMap
 
 
 class TestEnvBasis:
@@ -110,6 +112,24 @@ class TestStinespring:
 
 
 class TestComplementaryMap:
+    def test_equals_regrouped_kraus_slots(self, rng):
+        # reference: (Ktilde_b)_{a m} = (K_a)_{b m}, with K_a in its
+        # environment slot, on random and sparsified channels
+        for _ in range(400):
+            d = int(rng.integers(2, 6))
+            tm = random_transition_matrix(d, rng)
+            if rng.random() < 0.5:
+                tm = TransitionMatrix(d, {k: p for k, p in tm.decays.items()
+                                          if rng.random() < 0.5})
+            labels = env_basis(d)
+            slots = [0] + [labels.index((i, j)) for j in range(1, d)
+                           for i in range(j) if tm.gamma[j, i] > 0.0]
+            comp = np.zeros((d, env_dim(d), d), dtype=complex)
+            for slot, k in zip(slots, kraus_from_gamma(tm)):
+                comp[:, slot, :] = k
+            want = LinearMap.from_kraus(list(comp)).superoperator()
+            assert np.array_equal(complementary_map(tm).superoperator(), want)
+
     def test_trace_preserving(self, rng):
         for d in (2, 3, 4):
             tm = random_transition_matrix(d, rng)

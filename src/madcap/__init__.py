@@ -5,12 +5,14 @@ from .channel import (TransitionMatrix, apply, channel_map, compose,
                       decompose_single_decays, has_ladder_structure,
                       isolate_decay, kraus_from_gamma,
                       random_transition_matrix)
-from .complementary import (complementary_apply, complementary_map, env_basis,
-                            env_dim, env_index)
-from .inverse import adc_inverse, mad_inverse, single_decay_inverse
+from .complementary import (complementary_apply, complementary_map,
+                            complementary_superops, env_basis, env_dim,
+                            env_index)
+from .inverse import (adc_inverse, inverse_superops, mad_inverse,
+                      single_decay_inverse)
 from .maps import LinearMap
 from .structure import (ClassificationResult, build_two_extension,
-                        capacity_positive_witness, choi_of, connecting_choi,
+                        capacity_positive_witness, connecting_choi,
                         degrading_map, is_antidegradable, is_degradable,
                         mad_choi_state, mad_choi_states,
                         monotonicity_certificate, two_extension_taus)

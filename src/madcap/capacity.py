@@ -28,8 +28,9 @@ from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
 from .linalg import EIG_FLOOR, shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
-from .structure import (best_capacity_witness, degradability_status,
-                        is_antidegradable, is_degradable)
+from .structure import (_psd_status, best_capacity_witness,
+                        degradability_status, is_antidegradable,
+                        is_degradable)
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
@@ -660,11 +661,10 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
         k_checks = []
         for k in k_grid:
             bound = 1.0 - k / 2.0 ** (n + 1)
+            chois = [connecting_choi(g21, float(w), k) for w in omegas]
+            psds = _psd_status(np.stack(chois), 1e-9)[0] != "no"
             mismatches = 0
-            for w in omegas:
-                c = connecting_choi(g21, float(w), k)
-                lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
-                psd = lo >= -1e-7 * max(1.0, float(np.max(np.abs(c))))
+            for w, psd in zip(omegas, psds):
                 expected = (g21 <= w + 1e-12) and (w <= bound + 1e-12)
                 if psd != expected and min(abs(w - bound), abs(w - g21)) > grid_step:
                     mismatches += 1

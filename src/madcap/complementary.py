@@ -3,7 +3,12 @@
 The environment basis is |0,0> followed by the pairs |i,j> with i < j, sorted
 by j ascending then i ascending; its total size is 1 + d(d-1)/2. The flat
 integer index of each label is part of the public contract.
+
+complementary_superops is the closed-form kernel for a whole Gamma stack;
+complementary_map, from the Stinespring isometry's Kraus operators, is its
+independent reference.
 """
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -30,14 +35,48 @@ def env_index(d: int, i: int, j: int) -> int:
     return env_basis(d).index((i, j))
 
 
-def complementary_apply(tm: TransitionMatrix, rho: np.ndarray,
-                        validate: bool = True) -> np.ndarray:
-    """Closed-form environment output.
+@lru_cache(maxsize=None)
+def _complementary_tables(d: int) -> tuple:
+    """Positions of the nonzero complementary-superoperator entries.
+
+    Channel Kraus operator K_s (environment slot s) has one entry
+    sqrt(Gamma.flat[u]) at (c, p); the complementary map sends rho_pq to
+    environment entry (s, t) with weight sqrt(gamma_u gamma_v) whenever K_s
+    and K_t share the output row c. Returns (rows, cols, u, v) of the
+    e² × d² superoperator; no position repeats.
+    """
+    e = env_dim(d)
+    entries = [(0, k, k, k * d + k) for k in range(d)]
+    entries += [(s, i, j, j * d + i)
+                for s, (i, j) in enumerate(env_basis(d)) if s > 0]
+    tables = np.array([(s * e + t, p * d + q, u, v)
+                       for s, c, p, u in entries
+                       for t, c2, q, v in entries if c == c2]).T
+    tables.flags.writeable = False
+    return tuple(tables)
+
+
+def complementary_superops(gammas: np.ndarray) -> np.ndarray:
+    """Superoperators (B, e², d²) of the complementary maps of a Gamma stack
+    (B, d, d), scattered from per-d index tables:
 
     <0,0|.|0,0> = sum_j gamma_jj rho_jj
     <0,0|.|i,j> = sqrt(gamma_ii gamma_ji) rho_ij
     <i,j|.|m,n> = delta_im sqrt(gamma_ji gamma_ni) rho_jn
     """
+    g = np.asarray(gammas, dtype=float)
+    b, d, _ = g.shape
+    e = env_dim(d)
+    rows, cols, u, v = _complementary_tables(d)
+    flat = g.reshape(b, d * d)
+    comp = np.zeros((b, e * e, d * d))
+    comp[:, rows, cols] = np.sqrt(flat[:, u] * flat[:, v])
+    return comp
+
+
+def complementary_apply(tm: TransitionMatrix, rho: np.ndarray,
+                        validate: bool = True) -> np.ndarray:
+    """Environment output, as a batch of one of complementary_superops."""
     if validate:
         rho = check_density_matrix(rho)
     else:
@@ -45,20 +84,9 @@ def complementary_apply(tm: TransitionMatrix, rho: np.ndarray,
     d = tm.dim
     if rho.shape != (d, d):
         raise DimensionMismatchError(f"state shape {rho.shape} != ({d},{d})")
-    g = tm.gamma
-    labels = env_basis(d)
-    e = len(labels)
-    out = np.zeros((e, e), dtype=complex)
-    out[0, 0] = sum(g[j, j] * rho[j, j] for j in range(d))
-    for a in range(1, e):
-        i, j = labels[a]
-        out[0, a] = np.sqrt(g[i, i] * g[j, i]) * rho[i, j]
-        out[a, 0] = np.conj(out[0, a])
-        for b in range(1, e):
-            m, n = labels[b]
-            if i == m:
-                out[a, b] = np.sqrt(g[j, i] * g[n, i]) * rho[j, n]
-    return out
+    e = env_dim(d)
+    return (complementary_superops(tm.gamma[None])[0]
+            @ rho.reshape(-1)).reshape(e, e)
 
 
 def complementary_map(tm: TransitionMatrix) -> LinearMap:

@@ -1,16 +1,16 @@
 """Inverse maps of MAD channels: trace-preserving, generally not CP.
 
-A single-decay factor with amplitude g < 1 has the pseudo-Kraus inverse
-  Ktilde_0 = I - (1 - (1-g)^{-1/2}) |k><k|   (sign +)
-  Ktilde_1 = sqrt(g/(1-g)) |n><k|             (sign -)
-and the full MAD inverse composes the single-decay inverses of the channel's
-single-decay decomposition, in reverse order, into one superoperator.
+With every survival probability gamma_kk > 0 the channel is invertible in
+closed form: its inverse scales each coherence rho_mn by
+1/sqrt(gamma_mm gamma_nn) and maps the populations by Gamma^{-T}.
+inverse_superops builds these superoperators for a whole Gamma stack; the
+single-channel inverses are batches of one.
 """
 import logging
 
 import numpy as np
 
-from .channel import TransitionMatrix, decompose_single_decays
+from .channel import TransitionMatrix, single_decay_matrix
 from .errors import SingularInverseError
 from .maps import LinearMap
 
@@ -19,17 +19,29 @@ CONDITIONING_WARN = 1e-6
 logger = logging.getLogger(__name__)
 
 
+def inverse_superops(gammas: np.ndarray) -> np.ndarray:
+    """Superoperators (B, d², d²) of the inverse maps of a Gamma stack
+    (B, d, d) with every gamma_kk > 0, on row-major vectorized inputs."""
+    g = np.asarray(gammas, dtype=float)
+    b, d, _ = g.shape
+    surv = np.diagonal(g, axis1=1, axis2=2)
+    coherence = 1.0 / np.sqrt(surv[:, :, None] * surv[:, None, :])
+    idx = np.arange(d * d)
+    pop = idx[::d + 1]
+    inv = np.zeros((b, d * d, d * d))
+    inv[:, idx, idx] = coherence.reshape(b, d * d)
+    inv[:, pop[:, None], pop] = np.linalg.inv(g).transpose(0, 2, 1)
+    return inv
+
+
 def single_decay_inverse(k: int, n: int, amplitude: float, d: int) -> LinearMap:
+    """Inverse of the channel whose only decay is |k> -> |n> with the given
+    amplitude < 1."""
     if amplitude >= 1.0:
         raise SingularInverseError(
             f"single-decay ({k}->{n}) amplitude {amplitude} >= 1 has no inverse")
-    if amplitude <= 0.0:
-        return LinearMap.identity(d)
-    k0 = np.eye(d, dtype=complex)
-    k0[k, k] = 1.0 / np.sqrt(1.0 - amplitude)
-    k1 = np.zeros((d, d), dtype=complex)
-    k1[n, k] = np.sqrt(amplitude / (1.0 - amplitude))
-    return LinearMap.from_kraus([k0, k1], [1.0, -1.0])
+    g = single_decay_matrix(d, k, n, amplitude).gamma
+    return LinearMap(inverse_superops(g[None])[0])
 
 
 def adc_inverse(gamma: float) -> LinearMap:
@@ -40,8 +52,8 @@ def adc_inverse(gamma: float) -> LinearMap:
 
 
 def mad_inverse(tm: TransitionMatrix) -> LinearMap:
-    """Composition of single-decay inverses, undoing the channel's factors in
-    reverse order. Requires all survival probabilities gamma_kk > 0."""
+    """Inverse of the channel, as a batch of one of inverse_superops.
+    Requires all survival probabilities gamma_kk > 0."""
     d = tm.dim
     singular = [k for k in range(1, d) if tm.gamma[k, k] <= 0.0]
     if singular:
@@ -51,11 +63,4 @@ def mad_inverse(tm: TransitionMatrix) -> LinearMap:
     if small:
         logger.warning("mad_inverse poorly conditioned: gamma_kk < %g at "
                        "level(s) %s", CONDITIONING_WARN, small)
-    factors = decompose_single_decays(tm)
-    if not factors:
-        return LinearMap.identity(d)
-    inv = None
-    for k, n, amp in reversed(factors):
-        step = single_decay_inverse(k, n, amp, d)
-        inv = step if inv is None else inv.then(step)
-    return inv
+    return LinearMap(inverse_superops(tm.gamma[None])[0])

@@ -1,10 +1,10 @@
 """Generic linear maps on matrices, held as one dense superoperator.
 
-A map theta -> sum_k s_k A_k theta A_k† with signs s_k (+1 for channels,
-explicit minus signs for inverse maps) is stored as the matrix
-S = sum_k s_k (A_k ⊗ conj A_k) of shape d_out² × d_in², acting on row-major
-vectorized inputs: vec(Phi(X)) = S vec(X). Composition is a matrix product
-and the Choi matrix is a reshuffle of S.
+A map is stored as the matrix S of shape d_out² × d_in² acting on row-major
+vectorized inputs: vec(Phi(X)) = S vec(X). The map theta -> sum_k A_k theta
+A_k† has S = sum_k A_k ⊗ conj A_k; maps that are not CP, such as channel
+inverses, are built directly from their superoperators. Composition is a
+matrix product and the Choi matrix is a reshuffle of S.
 """
 import math
 from typing import Sequence
@@ -25,9 +25,8 @@ class LinearMap:
         self.out_dim, self.in_dim = dims
 
     @classmethod
-    def from_kraus(cls, ops: Sequence[np.ndarray],
-                   signs: Sequence[float] | None = None) -> "LinearMap":
-        """theta -> sum_k s_k A_k theta A_k†, with every s_k = +1 by default."""
+    def from_kraus(cls, ops: Sequence[np.ndarray]) -> "LinearMap":
+        """theta -> sum_k A_k theta A_k†."""
         try:
             a = np.asarray(ops, dtype=complex)
         except ValueError as exc:  # operators of different shapes
@@ -35,14 +34,8 @@ class LinearMap:
         if a.ndim != 3 or not len(a):
             raise DimensionMismatchError(
                 "a LinearMap needs a non-empty list of equally shaped matrices")
-        signed = a
-        if signs is not None:
-            s = np.asarray(signs, dtype=float)
-            if s.shape != (len(a),):
-                raise DimensionMismatchError("one sign per operator is required")
-            signed = a * s[:, None, None]
         do, d = a.shape[1:]
-        sup = np.einsum("kpm,kqn->pqmn", signed, a.conj())
+        sup = np.einsum("kpm,kqn->pqmn", a, a.conj())
         return cls(sup.reshape(do * do, d * d))
 
     @classmethod

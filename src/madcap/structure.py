@@ -2,11 +2,10 @@
 certificates, and the 3-level connecting channel.
 
 Degradability is decided by the spectrum of the Choi matrix of the degrading
-map (complementary after inverse). Its superoperator is assembled in closed
-form from Gamma, for a whole stack of transition matrices at once: the
-complementary part has entries sqrt(gamma_u gamma_v) at index positions fixed
-per dimension, and the inverse scales coherences by 1/sqrt(gamma_mm gamma_nn)
-and maps populations by Gamma^{-T}. A single channel is a batch of one.
+map (complementary after inverse). Its superoperator is the product of the
+closed-form kernels complementary.complementary_superops and
+inverse.inverse_superops, for a whole stack of transition matrices at once.
+A single channel is a batch of one.
 Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
@@ -14,17 +13,17 @@ lower bound. The two-extension and the Choi state are scattered for a whole
 Gamma stack from per-dimension index tables, in the order their defining sums
 add the entries.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .channel import TransitionMatrix, channel_map
-from .complementary import env_basis, env_dim
+from .complementary import complementary_superops, env_dim
 from .errors import (ConditionViolatedError, NotComparableError,
                      SingularInverseError)
-from .inverse import mad_inverse
+from .inverse import inverse_superops, mad_inverse
 from .maps import LinearMap
 
 BOUNDARY_BAND = 1e-7  # relative |min eig| band reported as "boundary"
@@ -35,52 +34,12 @@ class ClassificationResult:
     degradable: str  # "yes" | "no" | "boundary" | "unknown"
     antidegradable: bool
     min_choi_eig: Optional[float]
-    witnesses: Dict[str, object] = field(default_factory=dict)
-
-
-def choi_of(m: LinearMap, normalized: bool = True) -> np.ndarray:
-    return m.choi(normalized=normalized)
-
-
-@lru_cache(maxsize=None)
-def _complementary_tables(d: int) -> tuple:
-    """Positions of the nonzero complementary-superoperator entries.
-
-    Channel Kraus operator K_s (environment slot s) has one entry
-    sqrt(Gamma.flat[u]) at (c, p); the complementary map sends rho_pq to
-    environment entry (s, t) with weight sqrt(gamma_u gamma_v) whenever K_s
-    and K_t share the output row c. Returns (rows, cols, u, v) of the
-    e² × d² superoperator; no position repeats.
-    """
-    e = env_dim(d)
-    entries = [(0, k, k, k * d + k) for k in range(d)]
-    entries += [(s, i, j, j * d + i)
-                for s, (i, j) in enumerate(env_basis(d)) if s > 0]
-    tables = np.array([(s * e + t, p * d + q, u, v)
-                       for s, c, p, u in entries
-                       for t, c2, q, v in entries if c == c2]).T
-    tables.flags.writeable = False
-    return tuple(tables)
 
 
 def _degrading_superops(gammas: np.ndarray) -> np.ndarray:
     """Superoperators (B, e², d²) of the degrading maps of a Gamma stack
     (B, d, d) with every gamma_kk > 0: complementary after inverse."""
-    g = np.asarray(gammas, dtype=float)
-    b, d, _ = g.shape
-    e = env_dim(d)
-    rows, cols, u, v = _complementary_tables(d)
-    flat = g.reshape(b, d * d)
-    comp = np.zeros((b, e * e, d * d))
-    comp[:, rows, cols] = np.sqrt(flat[:, u] * flat[:, v])
-    surv = np.diagonal(g, axis1=1, axis2=2)
-    coherence = 1.0 / np.sqrt(surv[:, :, None] * surv[:, None, :])
-    idx = np.arange(d * d)
-    pop = idx[::d + 1]
-    inv = np.zeros((b, d * d, d * d))
-    inv[:, idx, idx] = coherence.reshape(b, d * d)
-    inv[:, pop[:, None], pop] = np.linalg.inv(g).transpose(0, 2, 1)
-    return comp @ inv
+    return complementary_superops(gammas) @ inverse_superops(gammas)
 
 
 def degrading_chois(gammas: np.ndarray) -> np.ndarray:

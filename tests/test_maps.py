@@ -28,17 +28,6 @@ def test_depolarizing_choi_is_maximally_mixed():
     assert np.allclose(dep.choi(), np.eye(4) / 4, atol=1e-12)
 
 
-def test_signed_kraus_action():
-    # theta -> theta - |0><1| theta |1><0| subtracts the (1,1) population
-    a = np.zeros((2, 2))
-    a[0, 1] = 1.0
-    m = LinearMap.from_kraus([np.eye(2), a], [1.0, -1.0])
-    theta = np.array([[0.25, 0.5], [0.5, 0.75]], dtype=complex)
-    out = m(theta)
-    assert out[0, 0] == pytest.approx(0.25 - 0.75)
-    assert out[1, 1] == pytest.approx(0.75)
-
-
 def test_then_applies_left_factor_first(rng):
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
@@ -79,32 +68,26 @@ def test_dimension_checks():
         LinearMap.identity(2).then(LinearMap.identity(3))
     with pytest.raises(DimensionMismatchError):
         LinearMap.from_kraus([np.eye(2), np.eye(3)])
-    with pytest.raises(DimensionMismatchError):
-        LinearMap.from_kraus([np.eye(2), np.eye(2)], [1.0])
 
 
-def _signed_sum(ops, signs, x):
-    return sum(s * (a @ x @ a.conj().T) for s, a in zip(signs, ops))
+def _kraus_sum(ops, x):
+    return sum(a @ x @ a.conj().T for a in ops)
 
 
-@pytest.mark.parametrize("d_out, d_in, signs", [
-    (2, 3, [1.0, -1.0]),
-    (4, 2, [1.0, 1.0, -0.5]),
-    (3, 3, [-1.0]),
-])
-def test_signed_rectangular_kraus_matches_explicit_sum(rng, d_out, d_in, signs):
+@pytest.mark.parametrize("d_out, d_in, n_ops", [(2, 3, 2), (4, 2, 3), (3, 3, 1)])
+def test_rectangular_kraus_matches_explicit_sum(rng, d_out, d_in, n_ops):
     ops = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-           for _ in signs]
-    m = LinearMap.from_kraus(ops, signs)
+           for _ in range(n_ops)]
+    m = LinearMap.from_kraus(ops)
     x = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
-    assert np.allclose(m(x), _signed_sum(ops, signs, x), atol=1e-12)
+    assert np.allclose(m(x), _kraus_sum(ops, x), atol=1e-12)
     sup = np.empty((d_out * d_out, d_in * d_in), dtype=complex)
     choi = np.empty((d_in * d_out, d_in * d_out), dtype=complex)
     for i in range(d_in):
         for j in range(d_in):
             e = np.zeros((d_in, d_in))
             e[i, j] = 1.0
-            block = _signed_sum(ops, signs, e)
+            block = _kraus_sum(ops, e)
             sup[:, i * d_in + j] = block.reshape(-1)
             choi[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = block
     assert np.allclose(m.superoperator(), sup, atol=1e-12)
@@ -115,8 +98,7 @@ def test_signed_rectangular_kraus_matches_explicit_sum(rng, d_out, d_in, signs):
 def test_then_is_superoperator_product(rng):
     a = LinearMap.from_kraus(
         [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))])
-    b = LinearMap.from_kraus([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))],
-                             [1.0, -1.0])
+    b = LinearMap.from_kraus([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
     assert np.array_equal(a.then(b).superoperator(),
                           b.superoperator() @ a.superoperator())
 

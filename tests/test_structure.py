@@ -6,7 +6,7 @@ from madcap.channel import (TransitionMatrix, apply, channel_map,
 from madcap.complementary import complementary_apply, complementary_map, env_dim
 from madcap.errors import (ConditionViolatedError, NotComparableError,
                            SingularInverseError)
-from madcap.inverse import mad_inverse
+from madcap.inverse import inverse_superops, mad_inverse
 from madcap.linalg import partial_trace, random_density_matrix
 from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
@@ -88,6 +88,19 @@ class TestDegradingChoiKernel:
                 ref = mad_inverse(tm).then(complementary_map(tm)).choi()
                 assert c.shape == ref.shape == (d * env_dim(d),) * 2
                 assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_inverse_superops_invert_kraus_channels(self, rng):
+        # independent of the kernel: the channel side is built from Kraus
+        # operators, and the inverse must undo it in both orders
+        for d in (2, 3, 4, 5):
+            tms = [sparse_channel(d, rng) for _ in range(12)]
+            tms.append(TransitionMatrix(d, {(d - 1, 0): 1.0 - 1e-3}))
+            invs = inverse_superops(np.stack([tm.gamma for tm in tms]))
+            for tm, inv in zip(tms, invs):
+                ch = channel_map(tm).superoperator()
+                bound = 1e-13 * np.max(np.abs(inv))
+                assert np.max(np.abs(inv @ ch - np.eye(d * d))) <= bound
+                assert np.max(np.abs(ch @ inv - np.eye(d * d))) <= bound
 
     def test_stack_equals_single_calls(self, rng):
         for d in (2, 3, 4):

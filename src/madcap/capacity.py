@@ -10,6 +10,11 @@ The certificate cascade for a transition matrix:
      pinned between a monotone upper bound and an independent lower bound
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
+The diagonal max (max_diagonal_coherent_info) starts from the best point of
+a simplex grid and runs an active-set Newton ascent on the simplex, with the
+faces where a level is 0 handled explicitly, until the Frank-Wolfe gap is
+at most 1e-12 max(1, |f|); on degradable channels the objective is concave,
+so the gap bounds the distance to the maximum.
 All capacities are in bits.
 """
 import itertools
@@ -26,7 +31,7 @@ from .channel import (TransitionMatrix, apply, channel_map, kraus_from_gamma,
                       permute_levels)
 from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
-from .linalg import EIG_FLOOR, shannon_entropy, von_neumann_entropy
+from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness,
                         degradability_status, is_antidegradable,
@@ -36,6 +41,16 @@ _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
 _GRID_STEPS = 50  # the diagonal maximizer's start grid has spacing 1/50
+# The diagonal maximizer's ascent: at most _ASCENT_STEPS steps, stopping at a
+# Frank-Wolfe gap of _GAP_TOL max(1, |f|); line searches halve at most
+# _HALVINGS times and ask a Newton step for _ARMIJO of its predicted rise.
+_ASCENT_STEPS = 100
+_GAP_TOL = 1e-12
+_HALVINGS = 60
+_ARMIJO = 1e-4
+_SLOPE_NOISE = 1e-14  # entering weights this small are row-sum rounding
+_F_ROUND = 1e-15  # relative rounding of f near its maximum
+_LN2 = math.log(2.0)
 
 EXACT_KINDS = ("Zero", "ExactDegradable", "ExactByReduction",
                "ExactByRegionExtension")
@@ -144,7 +159,8 @@ def _simplex_grid(d: int, steps: int) -> np.ndarray:
 
 
 def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float, float]:
-    """Maximize a unimodal scalar function on [a, b]."""
+    """Maximize a unimodal scalar function on [a, b]. Only adc_capacity uses
+    it."""
     c = b - _GOLD * (b - a)
     e = a + _GOLD * (b - a)
     fc, fe = f(c), f(e)
@@ -161,63 +177,179 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float
     return x, f(x)
 
 
+def _diag_rows(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lin, w): the output distribution, then the environment one, as the
+    rows of x = lin @ p, and weights that turn sum_k w_k x_k log2 x_k into
+    H(out) - H(env). Rows that are zero for every p are left out."""
+    d = g.shape[0]
+    pairs = _env_pairs(d)
+    env = np.zeros((len(pairs), d))
+    for r, (j, i) in enumerate(pairs):
+        env[r, j] = g[j, i]
+    lin = np.vstack([g.T, np.diag(g), env])
+    w = np.ones(len(lin))
+    w[:d] = -1.0
+    keep = lin.any(axis=1)
+    return lin[keep], w[keep]
+
+
+def _diag_slopes(lin: np.ndarray, w: np.ndarray, p: np.ndarray):
+    """(f, x, grad, slopes) at p, where f(p) = sum_k w_k x_k log2 x_k with
+    x = lin @ p and 0 log 0 = 0. The slope of f along e_i - p is
+    slopes_i - <grad, p>, so max(slopes) - <grad, p> is the Frank-Wolfe gap.
+
+    grad = lin^T (w log2 x) over the rows with x_k > 0. The constant 1/ln 2
+    of d(x log2 x)/dx is left out: both distributions sum to 1, so it
+    shifts every grad_i alike. A level i outside the support also feeds
+    rows that are zero at p, where that derivative diverges. With s_i the
+    weight of those rows, sum_{k: x_k = 0} w_k lin_ki, slopes_i is +inf for
+    s_i < 0 (the level always enters), -inf for s_i > 0 (it never does),
+    and for s_i = 0, within the rounding of the row sums, grad_i plus the
+    rows' finite part sum_k w_k lin_ki log2 lin_ki."""
+    x = lin @ p
+    pos = x > 0.0
+    wlog = w * np.log2(np.where(pos, x, 1.0))
+    grad = wlog @ lin
+    slopes = grad
+    if not pos.all():
+        w0 = np.where(pos, 0.0, w)
+        s = w0 @ lin
+        finite = grad + w0 @ (lin * np.log2(np.where(lin > 0.0, lin, 1.0)))
+        slopes = np.where(np.abs(s) <= _SLOPE_NOISE, finite,
+                          np.where(s < 0.0, np.inf, -np.inf))
+    return float(wlog @ x), x, grad, slopes
+
+
+def _enter_level(lin, w, p, i, f):
+    """Move mass onto level i, outside the support, along e_i - p: the first
+    of alpha = 1/2, 1/4, ... after which halving stops raising f. Returns
+    the new p and its _diag_slopes, or None when no alpha raises f by more
+    than its rounding: an entering slope of +inf may only pay off below
+    float resolution."""
+    best, found, alpha = f + _F_ROUND * max(1.0, abs(f)), None, 0.5
+    for _ in range(_HALVINGS):
+        q = (1.0 - alpha) * p
+        q[i] = alpha
+        state = _diag_slopes(lin, w, q)
+        if state[0] > best:
+            best, found = state[0], (q, state)
+        elif found is not None:
+            break
+        alpha *= 0.5
+    return found
+
+
+def _support_step(lin, w, p, x, slopes, f, i):
+    """One ascent step on the support of p plus level i, under sum p = 1:
+    the Newton step, or the projected gradient where that is not a feasible
+    ascent direction, with Armijo backtracking from min(1, the step at
+    which a level reaches 0), where that level is set to exactly 0. A level
+    i outside the support has a finite slope; the zero rows it feeds add a
+    term linear in p_i (their weights cancel), so they add no curvature.
+    Returns the new p and its _diag_slopes, or None when no step is
+    accepted."""
+    free = p > 0.0
+    free[i] = True
+    idx = np.flatnonzero(free)
+    n = len(idx)
+    pos = x > 0.0
+    a = lin[pos][:, idx]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = (a.T * (w[pos] / (x[pos] * _LN2))) @ a
+    kkt[n, n] = 0.0
+    # centred: sum(step) = 0 only up to rounding, which must not swamp the
+    # slope near the maximum
+    gs = slopes[idx]
+    gs -= gs.sum() / n
+    rhs = np.zeros(n + 1)
+    rhs[:n] = -gs
+    try:
+        step = np.linalg.solve(kkt, rhs)[:n]
+    except np.linalg.LinAlgError:
+        step = np.zeros(n)
+    slope = float(gs @ step)
+    if (not 0.0 < slope < np.inf
+            or (p[i] == 0.0 and step[idx == i][0] < 0.0)):
+        step, slope = gs, float(gs @ gs)
+    ratios = np.divide(p[idx], -step, out=np.full(n, np.inf),
+                       where=step < 0.0)
+    k = int(np.argmin(ratios))
+    cap = float(ratios[k])
+    alpha = min(1.0, cap)
+    rounding = _F_ROUND * max(1.0, abs(f))
+    for _ in range(_HALVINGS):
+        q = p.copy()
+        q[idx] += alpha * step
+        if alpha == cap:
+            q[idx[k]] = 0.0
+        np.maximum(q, 0.0, out=q)
+        # a rise below f's rounding cannot be seen; such a step is taken
+        # unless f falls by more than its rounding
+        rise = alpha * slope
+        need = _ARMIJO * rise if rise > rounding else -rounding
+        state = _diag_slopes(lin, w, q)
+        if state[0] - f >= need:
+            return q, state
+        alpha *= 0.5
+    return None
+
+
 def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]:
-    """Maximize I_c over diagonal inputs: coarse simplex grid (spacing
-    1/_GRID_STEPS) followed by coordinate-pairwise golden-section ascent.
+    """Maximize I_c over diagonal inputs: the argmax of a coarse simplex
+    grid (spacing 1/_GRID_STEPS), then an active-set Newton ascent on the
+    probability simplex.
+
     The grid is evaluated from per-level tables: each environment entry
     gamma_ji p_j with j > 0 takes one of _GRID_STEPS + 1 values, so its
     entropy term is looked up by the point's integer level, and only the d
     output entries and the first environment entry take a log per point.
-    Along a pair slice p_i = t, p_j = m - t the output distribution
-    Gamma^T p and the environment distribution are affine in t, so each
-    slice evaluates H(out) - H(env) from a base and a direction vector
-    fixed per slice.
-    For degradable channels this equals the quantum capacity; otherwise it
-    is a lower bound."""
+
+    The ascent maximizes f(p) = sum_k w_k x_k log2 x_k, x = lin @ p
+    (_diag_rows), with the continuous 0 log 0 = 0, and treats the faces of
+    the simplex explicitly. Each step either moves mass onto a level
+    outside the support whose entering slope is positive (_diag_slopes:
+    +inf, or finite), or takes a Newton step on the support
+    (_support_step), which sets a level to exactly 0 when the step reaches
+    it. It stops once the Frank-Wolfe gap max_i slope_i along e_i - p is at
+    most _GAP_TOL max(1, |f|).
+
+    For degradable channels f is concave, so the gap bounds how far f(p) is
+    below the maximum, and that maximum is the quantum capacity. Otherwise
+    the value is a lower bound. The value returned is
+    diagonal_coherent_information at the returned p, and never below its
+    value at the grid's argmax."""
     d = tm.dim
     if d == 1:
         return 0.0, np.ones(1)
     g = tm.gamma
     pts = _simplex_grid(d, _GRID_STEPS)
-    vals = _diag_ic_batch(g, _GRID_STEPS)
-    p = pts[int(np.argmax(vals))].copy()
-    best = diagonal_coherent_information(tm, p)
-    # rows: the output distribution, then the environment one, as linear
-    # maps of p; weights turn sum w x log2 x into H(out) - H(env)
-    lin = np.vstack([g.T, np.diag(g)]
-                    + [g[j, i] * np.eye(d)[j] for j, i in _env_pairs(d)])
-    w = [-1.0] * d + [1.0] * (len(lin) - d)
-    tol = 1e-8
-    for _ in range(60):
-        moved = 0.0
-        for i in range(d):
-            for j in range(i + 1, d):
-                m = p[i] + p[j]
-                if m <= tol:
-                    continue
-                q = p.copy()
-                q[i], q[j] = 0.0, m
-                terms = list(zip(w, (lin @ q).tolist(),
-                                 (lin[:, i] - lin[:, j]).tolist()))
-
-                def slice_ic(t, terms=terms):
-                    # plain floats: a dozen terms, cheaper than numpy calls
-                    val = 0.0
-                    for wk, base, step in terms:
-                        x = base + t * step
-                        if x > EIG_FLOOR:
-                            val += wk * x * math.log2(x)
-                    return val
-
-                t, val = golden_section_max(slice_ic, 0.0, m,
-                                            tol=tol * max(m, 1e-3))
-                if val > best:
-                    moved = max(moved, abs(p[i] - t))
-                    p[i], p[j] = t, m - t
-                    best = val
-        if moved < tol:
+    start = pts[int(np.argmax(_diag_ic_batch(g, _GRID_STEPS)))].copy()
+    lin, w = _diag_rows(g)
+    p = start
+    state = _diag_slopes(lin, w, p)
+    for _ in range(_ASCENT_STEPS):
+        f, x, grad, slopes = state
+        top = grad @ p + _GAP_TOL * max(1.0, abs(f))
+        # the face of p first, then the best level outside it
+        i = int(np.argmax(np.where(p > 0.0, slopes, -np.inf)))
+        if slopes[i] <= top:
+            i = int(np.argmax(slopes))
+            if slopes[i] <= top:
+                break
+        if np.isinf(slopes[i]):
+            moved = _enter_level(lin, w, p, i, f)
+        else:
+            moved = _support_step(lin, w, p, x, slopes, f, i)
+        if moved is None:
             break
-    return float(best), p
+        p, state = moved
+    val = diagonal_coherent_information(tm, p)
+    if p is not start:
+        # accepted steps raise f up to its rounding; keep the start's floor
+        val0 = diagonal_coherent_information(tm, start)
+        if val < val0:
+            return val0, start
+    return val, p
 
 
 def _h2(x: float) -> float:

@@ -10,11 +10,13 @@ The certificate cascade for a transition matrix:
      pinned between a monotone upper bound and an independent lower bound
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
-The diagonal max (max_diagonal_coherent_info) starts from the best point of
-a simplex grid and runs an active-set Newton ascent on the simplex, with the
-faces where a level is 0 handled explicitly, until the Frank-Wolfe gap is
-at most 1e-12 max(1, |f|); on degradable channels the objective is concave,
-so the gap bounds the distance to the maximum.
+The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
+ascent on the simplex from the two best points of a 1/10 simplex grid,
+with the faces where a level is 0 handled explicitly, until the
+Frank-Wolfe gap is at most 1e-12 max(1, |f|), and keeps the better result;
+on degradable channels the objective is concave, so the gap bounds the
+distance to the maximum, and the second start is for the non-degradable
+channels whose objective has several local maxima.
 All capacities are in bits.
 """
 import itertools
@@ -40,7 +42,10 @@ from .structure import (_psd_status, best_capacity_witness,
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
-_GRID_STEPS = 50  # the diagonal maximizer's start grid has spacing 1/50
+# The diagonal maximizer ascends from the _STARTS best points of a simplex
+# grid with spacing 1/_GRID_STEPS.
+_GRID_STEPS = 10
+_STARTS = 2
 # The diagonal maximizer's ascent: at most _ASCENT_STEPS steps, stopping at a
 # Frank-Wolfe gap of _GAP_TOL max(1, |f|); line searches halve at most
 # _HALVINGS times and ask a Newton step for _ARMIJO of its predicted rise.
@@ -48,6 +53,7 @@ _ASCENT_STEPS = 100
 _GAP_TOL = 1e-12
 _HALVINGS = 60
 _ARMIJO = 1e-4
+_SHORT_OF_FACE = 3  # halvings of a level tried before a step sets it to 0
 _SLOPE_NOISE = 1e-14  # entering weights this small are row-sum rounding
 _F_ROUND = 1e-15  # relative rounding of f near its maximum
 _LN2 = math.log(2.0)
@@ -80,63 +86,11 @@ def diagonal_coherent_information(tm: TransitionMatrix, p: np.ndarray) -> float:
     return shannon_entropy(out) - shannon_entropy(np.asarray(env))
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """x log2 x elementwise, 0 where x <= 1e-12. Overwrites ``x`` (pass a
-    fresh array): on the d = 4 start grid every large temporary costs
-    page faults."""
-    np.copyto(x, 1.0, where=x <= 1e-12)
-    terms = np.log2(x)
-    terms *= x
-    return terms
-
-
-def _row_sum(cols: List[np.ndarray]) -> np.ndarray:
-    """Sum of equal-length vectors in the order numpy's row sum adds the
-    entries of a short row (eight accumulators, then the remainder; a plain
-    left fold below eight), so it equals np.stack(cols, axis=1).sum(axis=1)
-    bit for bit for up to 128 vectors, numpy's pairwise block size."""
-    n = len(cols)
-    if n < 8:
-        total = cols[0]
-        for c in cols[1:]:
-            total = total + c
-        return total
-    acc = list(cols[:8])
-    full = n - n % 8
-    for k in range(8, full):
-        acc[k % 8] = acc[k % 8] + cols[k]
-    total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-             + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-    for c in cols[full:]:
-        total = total + c
-    return total
-
-
-def _diag_ic_batch(g: np.ndarray, steps: int) -> np.ndarray:
-    """Diagonal coherent information at every point of _simplex_grid(d, steps).
-
-    The output distribution (pts @ g) and the first environment entry
-    (pts @ diag(g)) take a log per point. Every other environment entry
-    gamma_ji p_j depends on the level p_j = k/steps alone, so its x log2 x
-    term is read from a (steps + 1)-entry table indexed by the grid's
-    integer levels. Both entropies sum their terms in numpy's row-sum
-    order, so the values equal x log2 x over the stacked columns summed by
-    .sum(axis=1), bit for bit."""
-    d = g.shape[0]
-    pts = _simplex_grid(d, steps)
-    levels = _simplex_levels(d, steps)
-    fractions = np.arange(steps + 1) / steps
-    env = [_xlog2x(pts @ np.diag(g))]
-    env += [_xlog2x(g[j, i] * fractions)[levels[:, j]]
-            for j, i in _env_pairs(d)]
-    out = _xlog2x(pts @ g)
-    return _row_sum(env) - _row_sum(list(out.T))
-
-
 @lru_cache(maxsize=16)
-def _simplex_levels(d: int, steps: int) -> np.ndarray:
-    """All compositions of ``steps`` into d nonnegative integer parts, in
-    lexicographic order: the simplex grid in units of 1/steps."""
+def _simplex_grid(d: int, steps: int) -> np.ndarray:
+    """All probability vectors with entries k/steps on the (d-1)-simplex:
+    the compositions of ``steps`` into d nonnegative parts, in
+    lexicographic order, divided by ``steps``."""
     parts = np.zeros((1, 0), dtype=np.intp)
     left = np.array([steps])
     for _ in range(d - 1):
@@ -145,15 +99,7 @@ def _simplex_levels(d: int, steps: int) -> np.ndarray:
         k = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         parts = np.column_stack([parts[rows], k])
         left = left[rows] - k
-    levels = np.column_stack([parts, left])
-    levels.flags.writeable = False  # shared by every caller of the cache
-    return levels
-
-
-@lru_cache(maxsize=16)
-def _simplex_grid(d: int, steps: int) -> np.ndarray:
-    """All probability vectors with entries k/steps on the (d-1)-simplex."""
-    grid = _simplex_levels(d, steps) / steps
+    grid = np.column_stack([parts, left]) / steps
     grid.flags.writeable = False  # shared by every caller of the cache
     return grid
 
@@ -243,11 +189,14 @@ def _support_step(lin, w, p, x, slopes, f, i):
     """One ascent step on the support of p plus level i, under sum p = 1:
     the Newton step, or the projected gradient where that is not a feasible
     ascent direction, with Armijo backtracking from min(1, the step at
-    which a level reaches 0), where that level is set to exactly 0. A level
-    i outside the support has a finite slope; the zero rows it feeds add a
-    term linear in p_i (their weights cancel), so they add no curvature.
-    Returns the new p and its _diag_slopes, or None when no step is
-    accepted."""
+    which a level reaches 0), where that level is set to exactly 0 unless
+    f is higher on the same line with the level at 1/2, 1/4, ... of its
+    value (_SHORT_OF_FACE halvings): on a non-degradable channel that face
+    can hold a lower local maximum, which the level, entering with slope
+    -inf, never leaves. A level i outside the support has a finite slope;
+    the zero rows it feeds add a term linear in p_i (their weights cancel),
+    so they add no curvature. Returns the new p and its _diag_slopes, or
+    None when no step is accepted."""
     free = p > 0.0
     free[i] = True
     idx = np.flatnonzero(free)
@@ -289,43 +238,30 @@ def _support_step(lin, w, p, x, slopes, f, i):
         need = _ARMIJO * rise if rise > rounding else -rounding
         state = _diag_slopes(lin, w, q)
         if state[0] - f >= need:
+            if alpha == cap:
+                for m in range(1, _SHORT_OF_FACE + 1):
+                    r = p.copy()
+                    r[idx] += cap * (1.0 - 0.5 ** m) * step
+                    np.maximum(r, 0.0, out=r)
+                    near = _diag_slopes(lin, w, r)
+                    if near[0] > state[0]:
+                        q, state = r, near
             return q, state
         alpha *= 0.5
     return None
 
 
-def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]:
-    """Maximize I_c over diagonal inputs: the argmax of a coarse simplex
-    grid (spacing 1/_GRID_STEPS), then an active-set Newton ascent on the
-    probability simplex.
+def _move(lin, w, p, x, slopes, f, i):
+    """One ascent step that raises level i: _enter_level for an entering
+    slope of +inf, else _support_step."""
+    if np.isinf(slopes[i]):
+        return _enter_level(lin, w, p, i, f)
+    return _support_step(lin, w, p, x, slopes, f, i)
 
-    The grid is evaluated from per-level tables: each environment entry
-    gamma_ji p_j with j > 0 takes one of _GRID_STEPS + 1 values, so its
-    entropy term is looked up by the point's integer level, and only the d
-    output entries and the first environment entry take a log per point.
 
-    The ascent maximizes f(p) = sum_k w_k x_k log2 x_k, x = lin @ p
-    (_diag_rows), with the continuous 0 log 0 = 0, and treats the faces of
-    the simplex explicitly. Each step either moves mass onto a level
-    outside the support whose entering slope is positive (_diag_slopes:
-    +inf, or finite), or takes a Newton step on the support
-    (_support_step), which sets a level to exactly 0 when the step reaches
-    it. It stops once the Frank-Wolfe gap max_i slope_i along e_i - p is at
-    most _GAP_TOL max(1, |f|).
-
-    For degradable channels f is concave, so the gap bounds how far f(p) is
-    below the maximum, and that maximum is the quantum capacity. Otherwise
-    the value is a lower bound. The value returned is
-    diagonal_coherent_information at the returned p, and never below its
-    value at the grid's argmax."""
-    d = tm.dim
-    if d == 1:
-        return 0.0, np.ones(1)
-    g = tm.gamma
-    pts = _simplex_grid(d, _GRID_STEPS)
-    start = pts[int(np.argmax(_diag_ic_batch(g, _GRID_STEPS)))].copy()
-    lin, w = _diag_rows(g)
-    p = start
+def _ascend(lin, w, p):
+    """The active-set Newton ascent of max_diagonal_coherent_info from p;
+    returns the p it stops at (p itself when no step is taken)."""
     state = _diag_slopes(lin, w, p)
     for _ in range(_ASCENT_STEPS):
         f, x, grad, slopes = state
@@ -336,20 +272,73 @@ def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]
             i = int(np.argmax(slopes))
             if slopes[i] <= top:
                 break
-        if np.isinf(slopes[i]):
-            moved = _enter_level(lin, w, p, i, f)
-        else:
-            moved = _support_step(lin, w, p, x, slopes, f, i)
+        moved = _move(lin, w, p, x, slopes, f, i)
+        if moved is None:
+            # a level entering with slope +inf may not raise f where
+            # another one does: the others outside the face, steepest first
+            out = np.flatnonzero((p == 0.0) & (slopes > top))
+            for j in out[np.argsort(-slopes[out], kind="stable")]:
+                if j != i:
+                    moved = _move(lin, w, p, x, slopes, f, j)
+                    if moved is not None:
+                        break
         if moved is None:
             break
         p, state = moved
-    val = diagonal_coherent_information(tm, p)
-    if p is not start:
-        # accepted steps raise f up to its rounding; keep the start's floor
-        val0 = diagonal_coherent_information(tm, start)
-        if val < val0:
-            return val0, start
-    return val, p
+    return p
+
+
+def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]:
+    """Maximize I_c over diagonal inputs: an active-set Newton ascent on the
+    probability simplex from each of the _STARTS best points of a coarse
+    simplex grid (spacing 1/_GRID_STEPS), keeping the better result.
+
+    The grid is evaluated densely through the ascent's own objective
+    f(p) = sum_k w_k x_k log2 x_k, x = lin @ p (_diag_rows), with the
+    continuous 0 log 0 = 0. The ascent treats the faces of the simplex
+    explicitly. Each step either moves mass onto a level outside the
+    support whose entering slope is positive (_diag_slopes: +inf, or
+    finite; such levels are tried steepest first until one raises f), or
+    takes a Newton step on the support (_support_step), which sets a level
+    to exactly 0 when the step reaches it and f is not higher short of it.
+    It stops once the Frank-Wolfe gap max_i slope_i along e_i - p is at
+    most _GAP_TOL max(1, |f|).
+
+    For degradable channels f is concave, so the gap bounds how far f(p) is
+    below the maximum, and that maximum is the quantum capacity. Otherwise
+    f can have several local maxima and the value is a lower bound; the
+    second start catches basins the grid's argmax misses. It is skipped
+    when the first ascent ended nearer to it (max norm) than the first
+    start is: it then lies on the slope that ascent climbed. The value
+    returned is diagonal_coherent_information at the returned p, and never
+    below its value at a start that was ascended from."""
+    d = tm.dim
+    if d == 1:
+        return 0.0, np.ones(1)
+    lin, w = _diag_rows(tm.gamma)
+    pts = _simplex_grid(d, _GRID_STEPS)
+    x = pts @ lin.T
+    grid_f = (x * np.log2(np.where(x > 0.0, x, 1.0))) @ w
+    # best first; equal values keep grid order
+    order = np.argsort(-grid_f, kind="stable")[:_STARTS]
+    best = None
+    for k in order:
+        start = pts[k].copy()
+        if (best is not None and np.abs(best[1] - start).max()
+                < np.abs(pts[order[0]] - start).max()):
+            # the first ascent ended nearer to this start than it began:
+            # this start lies on the slope that ascent climbed
+            continue
+        p = _ascend(lin, w, start)
+        val = diagonal_coherent_information(tm, p)
+        if p is not start:
+            # accepted steps raise f up to its rounding; keep the start's floor
+            val0 = diagonal_coherent_information(tm, start)
+            if val < val0:
+                val, p = val0, start
+        if best is None or val > best[0]:
+            best = (val, p)
+    return best
 
 
 def _h2(x: float) -> float:

@@ -129,10 +129,20 @@ def frank_wolfe_gap(tm, p):
     return float(slopes.max() - grad @ p)
 
 
-def grid_start_value(tm):
-    """Coherent information at the start grid's best point."""
-    pts = capacity._simplex_grid(tm.dim, 50)
-    start = pts[int(np.argmax(capacity._diag_ic_batch(tm.gamma, 50)))]
+def simplex_scan(d, steps):
+    """Every point of the (d-1)-simplex with entries k/steps: the
+    compositions of ``steps`` into d parts, from the bar positions of
+    stars and bars."""
+    rows = []
+    for bars in itertools.combinations(range(steps + d - 1), d - 1):
+        edges = (-1,) + bars + (steps + d - 1,)
+        rows.append([edges[k + 1] - edges[k] - 1 for k in range(d)])
+    return np.array(rows) / steps
+
+
+def grid_start_value(tm, pts):
+    """Coherent information at the best point of the scan ``pts``."""
+    start = pts[int(np.argmax(reference_grid_values(tm.gamma, pts)))]
     return diagonal_coherent_information(tm, start)
 
 
@@ -168,11 +178,58 @@ class TestDiagonalMaximization:
             assert val >= oracle - 1e-9
 
     def test_value_never_below_the_start_grid(self, rng):
+        """Not below the best point of a 1/50 scan, five times finer than
+        the maximizer's own start grid."""
         for d in (2, 3, 4, 5):
+            pts = simplex_scan(d, 50)
             for tm in grid_test_channels(d, rng):
                 val, p = max_diagonal_coherent_info(tm)
-                assert val >= grid_start_value(tm), (d, tm.decays)
+                assert val >= grid_start_value(tm, pts) - 1e-15, (d, tm.decays)
                 assert abs(val - diagonal_coherent_information(tm, p)) <= 1e-12
+
+    @pytest.mark.parametrize("decays, floor", [
+        ({(1, 0): 0.23315856237387017, (2, 1): 0.1627591481857663},
+         0.9182413745232447),
+        ({(2, 0): 0.25335979780914025, (2, 1): 0.05660420637175602,
+          (3, 0): 0.1922689879555884, (3, 1): 0.007771885110853572,
+          (3, 2): 0.09737341467405235}, 1.1710325852777257),
+    ], ids=["d3", "d4"])
+    def test_second_start_reaches_the_better_basin(self, decays, floor):
+        """Non-degradable channels whose best grid point ascends to a lower
+        local maximum (0.91390 and 1.17081); the floors are the values of a
+        1/50 start grid."""
+        d = max(j for j, _ in decays) + 1
+        val, _ = max_diagonal_coherent_info(TransitionMatrix(d, decays))
+        assert val >= floor - 1e-15
+
+    @pytest.mark.parametrize("decays, floor", [
+        # two levels outside the support enter with slope +inf; the first
+        # cannot raise f, the second can (p_4 = 0.012 at the maximum)
+        ({(1, 0): 0.17076286948696462, (2, 0): 0.24952867459489844,
+          (2, 1): 0.24997629288657106, (3, 0): 0.34428766542640954,
+          (3, 1): 0.18528181876395722, (3, 2): 0.041250531184716034,
+          (4, 0): 0.19254567467042885, (4, 1): 0.23412810796139497,
+          (4, 2): 0.005186690661737643, (4, 3): 0.04421026218270955},
+         0.5637964628869243),
+        # the first Newton step from (0.4, 0, 0, 0.1, 0.5) would set p_3,
+        # 0.019 at the maximum, to 0
+        ({(1, 0): 0.6952853673020486, (2, 0): 0.08704329523773652,
+          (2, 1): 0.7003854772322745, (3, 0): 0.08975442682403796,
+          (3, 1): 0.6893237482764326}, 1.0037058051470904),
+    ], ids=["second-entering-level", "step-short-of-face"])
+    def test_ascent_keeps_a_small_level(self, decays, floor):
+        """Non-degradable d = 5 channels whose maximum holds one level at
+        about 0.01; the floors are the values of a 1/50 start grid."""
+        val, _ = max_diagonal_coherent_info(TransitionMatrix(5, decays))
+        assert val >= floor - 1e-15
+
+    def test_d6_value_is_coherent_information_above_a_scan(self, rng):
+        pts = simplex_scan(6, 8)
+        for _ in range(3):
+            tm = random_transition_matrix(6, rng)
+            val, p = max_diagonal_coherent_info(tm)
+            assert abs(val - diagonal_coherent_information(tm, p)) <= 1e-12
+            assert val >= grid_start_value(tm, pts), tm.decays
 
     def test_continuous_entropy_keeps_an_empty_level_at_zero(self):
         """A floored x log x rewards moving this level from 0 to about
@@ -215,40 +272,12 @@ class TestDiagonalMaximization:
         p[0] = 0.5  # the maximizer hands back its own, writable copy
 
     def test_simplex_grid_is_every_composition_in_lexicographic_order(self):
-        for d, steps in ((2, 50), (3, 50), (4, 50), (4, 7)):
+        for d, steps in ((2, 50), (3, 50), (4, 50), (4, 7), (5, 10)):
             rows = [list(c) + [steps - sum(c)]
                     for c in itertools.product(range(steps + 1), repeat=d - 1)
                     if sum(c) <= steps]
-            levels = capacity._simplex_levels(d, steps)
-            assert levels.tolist() == rows
             assert np.array_equal(capacity._simplex_grid(d, steps),
                                   np.array(rows) / steps)
-
-    def test_cached_level_table_is_read_only(self):
-        levels = capacity._simplex_levels(3, 50)
-        with pytest.raises(ValueError):
-            levels[0, 0] = 1
-
-    def test_table_driven_grid_equals_reference_bit_for_bit(self, rng):
-        for d in (2, 3, 4):
-            pts = capacity._simplex_grid(d, 50)
-            for tm in grid_test_channels(d, rng):
-                got = capacity._diag_ic_batch(tm.gamma, 50)
-                want = reference_grid_values(tm.gamma, pts)
-                assert got.tobytes() == want.tobytes(), (d, tm.decays)
-
-    def test_d5_maximizer_keeps_reference_argmax(self, rng):
-        pts = capacity._simplex_grid(5, 50)
-        for tm in (TransitionMatrix(5, {(4, 0): 1.0}),
-                   random_transition_matrix(5, rng),
-                   random_transition_matrix(5, rng)):
-            vals = capacity._diag_ic_batch(tm.gamma, 50)
-            want = reference_grid_values(tm.gamma, pts)
-            assert np.argmax(vals) == np.argmax(want)
-            # eleven environment columns: numpy's pairwise row-sum order
-            assert vals.tobytes() == want.tobytes()
-            val, p = max_diagonal_coherent_info(tm)
-            assert abs(val - diagonal_coherent_information(tm, p)) <= 1e-12
 
     def test_anchor_maxima_are_unchanged(self):
         """The README channel's exact grid optimum, and the LowerBound

@@ -11,12 +11,10 @@ The certificate cascade for a transition matrix:
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
-ascent on the simplex from the two best points of a 1/10 simplex grid,
-with the faces where a level is 0 handled explicitly, until the
-Frank-Wolfe gap is at most 1e-12 max(1, |f|), and keeps the better result;
-on degradable channels the objective is concave, so the gap bounds the
-distance to the maximum, and the second start is for the non-degradable
-channels whose objective has several local maxima.
+ascent on the simplex from the best points of a grid and the faces next to
+its result, handling the faces where a level is 0 explicitly, until the
+Frank-Wolfe gap is at most 1e-12 max(1, |f|); on degradable channels the
+objective is concave, so the gap bounds the distance to the maximum.
 All capacities are in bits.
 """
 import itertools
@@ -42,10 +40,15 @@ from .structure import (_psd_status, best_capacity_witness,
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
-# The diagonal maximizer ascends from the _STARTS best points of a simplex
-# grid with spacing 1/_GRID_STEPS.
-_GRID_STEPS = 10
-_STARTS = 2
+# The diagonal maximizer starts from the _STARTS best points of a 1/50 grid,
+# coarser where that has over _GRID_POINTS points (1/18, which holds 1/2, at
+# d = 4), skipping those within _SAME_BASIN (max norm) of the best; its face
+# search enters a level at 1/2, ..., 2^-_ENTER_HALVINGS of the mass.
+_GRID_STEPS = 50
+_GRID_POINTS = 1330
+_STARTS = 3
+_SAME_BASIN = 1.5 / _GRID_STEPS
+_ENTER_HALVINGS = 10
 # The diagonal maximizer's ascent: at most _ASCENT_STEPS steps, stopping at a
 # Frank-Wolfe gap of _GAP_TOL max(1, |f|); line searches halve at most
 # _HALVINGS times and ask a Newton step for _ARMIJO of its predicted rise.
@@ -53,7 +56,6 @@ _ASCENT_STEPS = 100
 _GAP_TOL = 1e-12
 _HALVINGS = 60
 _ARMIJO = 1e-4
-_SHORT_OF_FACE = 3  # halvings of a level tried before a step sets it to 0
 _SLOPE_NOISE = 1e-14  # entering weights this small are row-sum rounding
 _F_ROUND = 1e-15  # relative rounding of f near its maximum
 _LN2 = math.log(2.0)
@@ -102,6 +104,16 @@ def _simplex_grid(d: int, steps: int) -> np.ndarray:
     grid = np.column_stack([parts, left]) / steps
     grid.flags.writeable = False  # shared by every caller of the cache
     return grid
+
+
+@lru_cache(maxsize=16)
+def _grid_steps(d: int) -> int:
+    """The largest steps up to _GRID_STEPS whose simplex grid,
+    C(steps + d - 1, d - 1) points, has at most _GRID_POINTS points."""
+    steps = _GRID_STEPS
+    while math.comb(steps + d - 1, d - 1) > _GRID_POINTS:
+        steps -= 1
+    return steps
 
 
 def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float, float]:
@@ -189,14 +201,11 @@ def _support_step(lin, w, p, x, slopes, f, i):
     """One ascent step on the support of p plus level i, under sum p = 1:
     the Newton step, or the projected gradient where that is not a feasible
     ascent direction, with Armijo backtracking from min(1, the step at
-    which a level reaches 0), where that level is set to exactly 0 unless
-    f is higher on the same line with the level at 1/2, 1/4, ... of its
-    value (_SHORT_OF_FACE halvings): on a non-degradable channel that face
-    can hold a lower local maximum, which the level, entering with slope
-    -inf, never leaves. A level i outside the support has a finite slope;
-    the zero rows it feeds add a term linear in p_i (their weights cancel),
-    so they add no curvature. Returns the new p and its _diag_slopes, or
-    None when no step is accepted."""
+    which a level reaches 0), where that level is set to exactly 0. A level
+    i outside the support has a finite slope; the zero rows it feeds add a
+    term linear in p_i (their weights cancel), so they add no curvature.
+    Returns the new p and its _diag_slopes, or None when no step is
+    accepted."""
     free = p > 0.0
     free[i] = True
     idx = np.flatnonzero(free)
@@ -238,30 +247,14 @@ def _support_step(lin, w, p, x, slopes, f, i):
         need = _ARMIJO * rise if rise > rounding else -rounding
         state = _diag_slopes(lin, w, q)
         if state[0] - f >= need:
-            if alpha == cap:
-                for m in range(1, _SHORT_OF_FACE + 1):
-                    r = p.copy()
-                    r[idx] += cap * (1.0 - 0.5 ** m) * step
-                    np.maximum(r, 0.0, out=r)
-                    near = _diag_slopes(lin, w, r)
-                    if near[0] > state[0]:
-                        q, state = r, near
             return q, state
         alpha *= 0.5
     return None
 
 
-def _move(lin, w, p, x, slopes, f, i):
-    """One ascent step that raises level i: _enter_level for an entering
-    slope of +inf, else _support_step."""
-    if np.isinf(slopes[i]):
-        return _enter_level(lin, w, p, i, f)
-    return _support_step(lin, w, p, x, slopes, f, i)
-
-
 def _ascend(lin, w, p):
     """The active-set Newton ascent of max_diagonal_coherent_info from p;
-    returns the p it stops at (p itself when no step is taken)."""
+    returns the p it stops at (p itself when no step is taken) and f there."""
     state = _diag_slopes(lin, w, p)
     for _ in range(_ASCENT_STEPS):
         f, x, grad, slopes = state
@@ -272,73 +265,90 @@ def _ascend(lin, w, p):
             i = int(np.argmax(slopes))
             if slopes[i] <= top:
                 break
-        moved = _move(lin, w, p, x, slopes, f, i)
-        if moved is None:
-            # a level entering with slope +inf may not raise f where
-            # another one does: the others outside the face, steepest first
-            out = np.flatnonzero((p == 0.0) & (slopes > top))
-            for j in out[np.argsort(-slopes[out], kind="stable")]:
-                if j != i:
-                    moved = _move(lin, w, p, x, slopes, f, j)
-                    if moved is not None:
-                        break
+        if np.isinf(slopes[i]):
+            moved = _enter_level(lin, w, p, i, f)
+        else:
+            moved = _support_step(lin, w, p, x, slopes, f, i)
         if moved is None:
             break
         p, state = moved
-    return p
+    return p, state[0]
+
+
+def _diag_values(lin, w, pts):
+    """f at every row of pts: (x log2 x) @ w, x = pts @ lin^T, 0 log 0 = 0."""
+    x = pts @ lin.T
+    return (x * np.log2(np.where(x > 0.0, x, 1.0))) @ w
+
+
+def _neighbour_faces(p):
+    """Points on the faces next to p's, one row each: a level i outside the
+    support entering along e_i - p at 1/2, 1/4, ..., 2^-_ENTER_HALVINGS,
+    and half or all of the mass of a level j moved onto a level i."""
+    d = len(p)
+    eye = np.eye(d)
+    t = 0.5 ** np.arange(1, _ENTER_HALVINGS + 1)[:, None, None]
+    enter = (1.0 - t) * p + t * eye[p == 0.0]
+    j, i = np.nonzero(1.0 - eye)
+    move = p + np.array([0.5, 1.0])[:, None, None] * p[j, None] * (eye[i] - eye[j])
+    return np.vstack([enter.reshape(-1, d), move.reshape(-1, d)])
 
 
 def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]:
     """Maximize I_c over diagonal inputs: an active-set Newton ascent on the
-    probability simplex from each of the _STARTS best points of a coarse
-    simplex grid (spacing 1/_GRID_STEPS), keeping the better result.
-
-    The grid is evaluated densely through the ascent's own objective
-    f(p) = sum_k w_k x_k log2 x_k, x = lin @ p (_diag_rows), with the
-    continuous 0 log 0 = 0. The ascent treats the faces of the simplex
-    explicitly. Each step either moves mass onto a level outside the
-    support whose entering slope is positive (_diag_slopes: +inf, or
-    finite; such levels are tried steepest first until one raises f), or
-    takes a Newton step on the support (_support_step), which sets a level
-    to exactly 0 when the step reaches it and f is not higher short of it.
-    It stops once the Frank-Wolfe gap max_i slope_i along e_i - p is at
-    most _GAP_TOL max(1, |f|).
+    probability simplex over f(p) = sum_k w_k x_k log2 x_k, x = lin @ p
+    (_diag_rows), with the continuous 0 log 0 = 0, from the _STARTS best
+    points of a simplex grid (_grid_steps) where f is evaluated densely.
+    Each step either moves mass onto a level outside the support whose
+    entering slope is positive (_diag_slopes: +inf, or finite), or takes a
+    Newton step on the support (_support_step), which sets a level to
+    exactly 0 when the step reaches it, until the Frank-Wolfe gap
+    max_i slope_i along e_i - p is at most _GAP_TOL max(1, |f|).
 
     For degradable channels f is concave, so the gap bounds how far f(p) is
-    below the maximum, and that maximum is the quantum capacity. Otherwise
-    f can have several local maxima and the value is a lower bound; the
-    second start catches basins the grid's argmax misses. It is skipped
-    when the first ascent ended nearer to it (max norm) than the first
-    start is: it then lies on the slope that ascent climbed. The value
-    returned is diagonal_coherent_information at the returned p, and never
-    below its value at a start that was ascended from."""
+    below the maximum, which is the quantum capacity. Otherwise the value
+    is a lower bound, and f can have several local maxima: the other starts
+    reach basins the best grid point misses, and the face search maxima on
+    another face or nearer to one than the grid's spacing, ascending from
+    the best of _neighbour_faces(p) while f there exceeds f(p) by more than
+    its rounding. The value is diagonal_coherent_information at p, never
+    below its value at the start p came from."""
     d = tm.dim
     if d == 1:
         return 0.0, np.ones(1)
     lin, w = _diag_rows(tm.gamma)
-    pts = _simplex_grid(d, _GRID_STEPS)
-    x = pts @ lin.T
-    grid_f = (x * np.log2(np.where(x > 0.0, x, 1.0))) @ w
-    # best first; equal values keep grid order
-    order = np.argsort(-grid_f, kind="stable")[:_STARTS]
-    best = None
-    for k in order:
-        start = pts[k].copy()
-        if (best is not None and np.abs(best[1] - start).max()
-                < np.abs(pts[order[0]] - start).max()):
-            # the first ascent ended nearer to this start than it began:
-            # this start lies on the slope that ascent climbed
+    pts = _simplex_grid(d, _grid_steps(d))
+    grid_f = _diag_values(lin, w, pts)
+    best, first = None, pts[int(np.argmax(grid_f))]
+    for _ in range(_STARTS):
+        k = int(np.argmax(grid_f))  # best first; ties keep grid order
+        grid_f[k] = -np.inf
+        if best is not None and np.abs(pts[k] - first).max() < _SAME_BASIN:
             continue
-        p = _ascend(lin, w, start)
+        start = pts[k].copy()
+        p, f = _ascend(lin, w, start)
         val = diagonal_coherent_information(tm, p)
-        if p is not start:
-            # accepted steps raise f up to its rounding; keep the start's floor
-            val0 = diagonal_coherent_information(tm, start)
-            if val < val0:
-                val, p = val0, start
         if best is None or val > best[0]:
-            best = (val, p)
-    return best
+            best = (val, f, p, start)
+    val, f, p, start = best
+    while True:
+        near = _neighbour_faces(p)
+        near_f = _diag_values(lin, w, near)
+        k = int(np.argmax(near_f))
+        if near_f[k] <= f + _F_ROUND * max(1.0, abs(f)):
+            break
+        start_q = near[k].copy()
+        q, f_q = _ascend(lin, w, start_q)
+        val_q = diagonal_coherent_information(tm, q)
+        if val_q <= val + _F_ROUND * max(1.0, abs(val)):
+            break
+        val, f, p, start = val_q, f_q, q, start_q
+    if p is not start:
+        # accepted steps raise f up to its rounding; keep the start's floor
+        val0 = diagonal_coherent_information(tm, start)
+        if val < val0:
+            return val0, start
+    return val, p
 
 
 def _h2(x: float) -> float:

@@ -178,8 +178,8 @@ class TestDiagonalMaximization:
             assert val >= oracle - 1e-9
 
     def test_value_never_below_the_start_grid(self, rng):
-        """Not below the best point of a 1/50 scan, five times finer than
-        the maximizer's own start grid."""
+        """Not below the best point of a 1/50 scan: the maximizer's own
+        start grid at d = 3, finer than it at d = 4 and 5."""
         for d in (2, 3, 4, 5):
             pts = simplex_scan(d, 50)
             for tm in grid_test_channels(d, rng):
@@ -193,35 +193,86 @@ class TestDiagonalMaximization:
         ({(2, 0): 0.25335979780914025, (2, 1): 0.05660420637175602,
           (3, 0): 0.1922689879555884, (3, 1): 0.007771885110853572,
           (3, 2): 0.09737341467405235}, 1.1710325852777257),
-    ], ids=["d3", "d4"])
-    def test_second_start_reaches_the_better_basin(self, decays, floor):
-        """Non-degradable channels whose best grid point ascends to a lower
-        local maximum (0.91390 and 1.17081); the floors are the values of a
-        1/50 start grid."""
+        # the two best points of the 1/18 grid ascend to 0.70181, the third
+        # to the maximum (0.469, 0, 0.524, 0.007)
+        ({(1, 0): 0.13204038141088487, (2, 0): 0.01230563033820944,
+          (2, 1): 0.40996904581913635, (3, 0): 0.17682037441841927,
+          (3, 1): 0.2611988190124576, (3, 2): 0.014610986399159656},
+         0.7023431831644241),
+    ], ids=["d3", "d4", "d4-third-start"])
+    def test_value_reaches_the_better_basin(self, decays, floor):
+        """Non-degradable channels with a lower local maximum, which one
+        start from the best point of a 1/10 grid reaches on the first two
+        (0.91390 and 1.17081); the floors are the values of a 1/50 start
+        grid."""
         d = max(j for j, _ in decays) + 1
         val, _ = max_diagonal_coherent_info(TransitionMatrix(d, decays))
         assert val >= floor - 1e-15
 
     @pytest.mark.parametrize("decays, floor", [
-        # two levels outside the support enter with slope +inf; the first
-        # cannot raise f, the second can (p_4 = 0.012 at the maximum)
+        # every start ascends to p_4 = 0, where level 4 enters with slope
+        # +inf but too little to show in f; the maximum has p_4 = 0.012
         ({(1, 0): 0.17076286948696462, (2, 0): 0.24952867459489844,
           (2, 1): 0.24997629288657106, (3, 0): 0.34428766542640954,
           (3, 1): 0.18528181876395722, (3, 2): 0.041250531184716034,
           (4, 0): 0.19254567467042885, (4, 1): 0.23412810796139497,
           (4, 2): 0.005186690661737643, (4, 3): 0.04421026218270955},
          0.5637964628869243),
-        # the first Newton step from (0.4, 0, 0, 0.1, 0.5) would set p_3,
-        # 0.019 at the maximum, to 0
+        # a Newton step from the grid sets p_3, 0.019 at the maximum, to 0
         ({(1, 0): 0.6952853673020486, (2, 0): 0.08704329523773652,
           (2, 1): 0.7003854772322745, (3, 0): 0.08975442682403796,
           (3, 1): 0.6893237482764326}, 1.0037058051470904),
-    ], ids=["second-entering-level", "step-short-of-face"])
-    def test_ascent_keeps_a_small_level(self, decays, floor):
-        """Non-degradable d = 5 channels whose maximum holds one level at
-        about 0.01; the floors are the values of a 1/50 start grid."""
+        # the starts end at (0.434, 0.445, 0, 0, 0.122); moving half of p_4
+        # onto level 2 reaches the maximum (0.439, 0.442, 0.074, 0, 0.045)
+        ({(1, 0): 0.008936469485275902, (2, 0): 0.22041518221978784,
+          (2, 1): 0.1113712737501482, (3, 0): 0.31525242129800823,
+          (3, 1): 0.027999999160324668, (3, 2): 0.1635527172169083,
+          (4, 0): 0.23473617502147223, (4, 1): 0.02799289565398537,
+          (4, 2): 0.1455251648960904, (4, 3): 0.01632116874110429},
+         1.0190248436420222),
+    ], ids=["level-entering-below-resolution", "level-set-to-0-by-a-step",
+            "half-of-a-level-moved"])
+    def test_face_search_reaches_a_small_level(self, decays, floor):
+        """Non-degradable d = 5 channels whose maximum holds one level at a
+        few hundredths; the floors are the values of a 1/50 start grid."""
         val, _ = max_diagonal_coherent_info(TransitionMatrix(5, decays))
         assert val >= floor - 1e-15
+
+    def test_grid_steps_is_the_finest_within_the_point_budget(self):
+        for d in (4, 5, 6):
+            steps = capacity._grid_steps(d)
+            assert (math.comb(steps + d - 1, d - 1) <= capacity._GRID_POINTS
+                    < math.comb(steps + d, d - 1))
+        assert [capacity._grid_steps(d) for d in range(2, 7)] == [
+            50, 50, 18, 10, 8]
+
+    def test_neighbour_faces_are_probability_vectors(self, rng):
+        for d in (2, 3, 5):
+            p = rng.dirichlet(np.ones(d))
+            p[d // 2] = 0.0
+            p /= p.sum()
+            near = capacity._neighbour_faces(p)
+            assert len(near) == capacity._ENTER_HALVINGS + 2 * d * (d - 1)
+            assert near.min() >= 0.0
+            assert np.max(np.abs(near.sum(axis=1) - 1.0)) <= 1e-15
+            enter = near[:capacity._ENTER_HALVINGS, d // 2]
+            assert enter.tolist() == [0.5 ** k for k in range(
+                1, capacity._ENTER_HALVINGS + 1)]
+            # moving all of a level's mass leaves it exactly 0
+            assert (np.sum(near[-d * (d - 1):] == 0.0, axis=1) >= 1).all()
+
+    def test_one_ascent_where_the_best_grid_points_are_neighbours(
+            self, monkeypatch):
+        """On a 1/50 grid the next best points neighbour the best one, so
+        they share its ascent; a degradable channel has no better face."""
+        calls = []
+        ascend = capacity._ascend
+        monkeypatch.setattr(capacity, "_ascend",
+                            lambda *a: calls.append(1) or ascend(*a))
+        tm = TransitionMatrix(3, {(1, 0): 0.3, (2, 0): 0.1})
+        assert is_degradable(tm).degradable == "yes"
+        max_diagonal_coherent_info(tm)
+        assert len(calls) == 1
 
     def test_d6_value_is_coherent_information_above_a_scan(self, rng):
         pts = simplex_scan(6, 8)

@@ -7,7 +7,10 @@ The certificate cascade for a transition matrix:
      after relabeling it there with level-swap unitaries), recursively
   4. region extension along a single decay entry, either sandwiched between
      a degradable border and a complete-damping border with equal values, or
-     pinned between a monotone upper bound and an independent lower bound
+     pinned between a monotone upper bound and an independent lower bound;
+     both forms find the degradable border t* of their line
+     Gamma(t) = tm.with_decay(j, i, t), optionally with a second entry
+     zeroed, by the same bisection search (_line_border)
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
@@ -33,11 +36,10 @@ from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
-from .structure import (_psd_status, best_capacity_witness,
+from .structure import (_psd_status, best_capacity_witness, connecting_choi,
                         degradability_status, is_antidegradable,
                         is_degradable)
 
-_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
 # The diagonal maximizer starts from the _STARTS best points of a 1/50 grid,
@@ -114,25 +116,6 @@ def _grid_steps(d: int) -> int:
     while math.comb(steps + d - 1, d - 1) > _GRID_POINTS:
         steps -= 1
     return steps
-
-
-def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> Tuple[float, float]:
-    """Maximize a unimodal scalar function on [a, b]. Only adc_capacity uses
-    it."""
-    c = b - _GOLD * (b - a)
-    e = a + _GOLD * (b - a)
-    fc, fe = f(c), f(e)
-    while abs(b - a) > tol:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _GOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _GOLD * (b - a)
-            fe = f(e)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 def _diag_rows(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -351,22 +334,16 @@ def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]
     return val, p
 
 
-def _h2(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
-
-
 def adc_capacity(gamma: float) -> float:
-    """Quantum capacity of the 2-level channel: diagonal maximum of
-    h2((1-g)p) - h2(gp) for g <= 1/2, zero (antidegradable) for g >= 1/2."""
+    """Quantum capacity of the 2-level channel: for g < 1/2 it is degradable,
+    and the capacity is max_diagonal_coherent_info's maximum over p of
+    h2((1-g)p) - h2(gp); for g >= 1/2 it is antidegradable, and zero."""
     if not (0.0 <= gamma <= 1.0):
         raise ConditionViolatedError(f"gamma={gamma} outside [0, 1]")
     if gamma >= 0.5:
         return 0.0
-    _, val = golden_section_max(
-        lambda p: _h2((1.0 - gamma) * p) - _h2(gamma * p), 0.0, 1.0, tol=1e-12)
-    return max(val, 0.0)
+    tm = TransitionMatrix(2, {(1, 0): gamma})
+    return max(max_diagonal_coherent_info(tm)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +464,17 @@ def _stored(store: dict, key, compute):
 
 
 def _noiseless_log2(tm: TransitionMatrix) -> float:
-    count = sum(1 for j in range(tm.dim) if tm.gamma[j, j] >= 1.0 - _ZERO_LEVEL_TOL)
-    return float(np.log2(count)) if count >= 1 else 0.0
+    # gamma_00 = 1, so the count is at least 1
+    return float(np.log2(sum(1 for j in range(tm.dim)
+                             if tm.gamma[j, j] >= 1.0 - _ZERO_LEVEL_TOL)))
 
 
-def _find_cd_permutation(tm: TransitionMatrix) -> Optional[Tuple[Tuple[int, ...], TransitionMatrix]]:
-    """A level relabeling that keeps all decays downward and puts a completely
-    decaying level on top, enabling the complete-damping reduction."""
+def _find_cd_permutation(tm: TransitionMatrix, zeros: List[int]
+                         ) -> Optional[Tuple[Tuple[int, ...], TransitionMatrix]]:
+    """A level relabeling that keeps all decays downward and puts one of the
+    completely decaying levels ``zeros`` (not empty) on top, enabling the
+    complete-damping reduction."""
     d = tm.dim
-    zeros = [k for k in range(1, d) if tm.gamma[k, k] <= _ZERO_LEVEL_TOL]
-    if not zeros:
-        return None
     if d - 1 in zeros:
         return tuple(range(d)), tm
     for perm in itertools.permutations(range(d)):
@@ -541,6 +518,18 @@ def _border_key(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
     (j, i), diagonals recomputed), so searches along the same line share a
     key whichever point and caller they start from."""
     return (_decay_stack(tm, j, i, [0.0], zeroed)[0].tobytes(), j, i, tol_psd)
+
+
+def _line_border(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
+                 zeroed: Optional[Tuple[int, int]] = None
+                 ) -> Tuple[float, TransitionMatrix]:
+    """(t*, tm.with_decay(j, i, t*)): the degradable border t* of the line
+    Gamma(t) of _degradable_at(tm, j, i, ., tol_psd, zeroed) on
+    [0, gamma_ji]. The caller has checked that Gamma(0) is degradable."""
+    t = _border(lambda ts: _degradable_at(tm, j, i, ts, tol_psd, zeroed),
+                0.0, float(tm.gamma[j, i]),
+                _border_key(tm, j, i, tol_psd, zeroed))
+    return t, tm.with_decay(j, i, t)
 
 
 def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
@@ -614,6 +603,7 @@ def _monotone_axis(tm: TransitionMatrix, j: int, i: int) -> bool:
 def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
                   tol_psd: float) -> bool:
     """CP check of a connecting map for one increased entry, either side."""
+    # looked up at call time, so that tests can replace it in structure
     from .structure import monotonicity_certificate
     for side in ("right", "left"):
         try:
@@ -659,7 +649,7 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
                 [f"degrading-map Choi PSD{note}, min eig {res.min_choi_eig:.3e}",
                  "value = max coherent information over diagonal inputs"])
     else:
-        found = _find_cd_permutation(tm)
+        found = _find_cd_permutation(tm, zeros)
         if found is not None:
             perm, relabeled = found
             reduced = reduce_complete_damping(relabeled)
@@ -693,7 +683,6 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
                        _depth: int) -> Optional[CapacityCertificate]:
     """Exact value by matching the degradable border and the complete-damping
     border along one decay entry, with a monotone connecting path."""
-    d = tm.dim
     for (j, i) in sorted(tm.decays):
         gji = float(tm.gamma[j, i])
         gjj = float(tm.gamma[j, j])
@@ -707,10 +696,7 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1)
         if not sub.exact or sub.value is None:
             continue
-        t_border = _border(
-            lambda ts: _degradable_at(tm, j, i, ts, tol_psd), 0.0, gji,
-            _border_key(tm, j, i, tol_psd))
-        tm_lo = tm.with_decay(j, i, t_border)
+        t_border, tm_lo = _line_border(tm, j, i, tol_psd)
         v_low = _diag_max(tm_lo)
         if abs(v_low - sub.value) > tol_border:
             continue
@@ -741,22 +727,17 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
         gji = float(tm.gamma[j, i])
         if gji <= 1e-9:
             continue
-        for (j2, i2) in decays:
-            if (j2, i2) == (j, i):
+        for zeroed in decays:
+            if zeroed == (j, i):
                 continue
-
-            def pred(ts, j2=j2, i2=i2):
-                return _degradable_at(tm, j, i, ts, tol_psd, (j2, i2))
-
-            at_top, at_zero = pred([gji, 0.0])
+            at_top, at_zero = _degradable_at(tm, j, i, [gji, 0.0], tol_psd,
+                                             zeroed)
             if at_top or not at_zero:
                 continue
-            t_star = _border(pred, 0.0, gji,
-                             _border_key(tm, j, i, tol_psd, (j2, i2)))
+            t_star, tm_star = _line_border(tm, j, i, tol_psd, zeroed)
             if t_star >= gji - 1e-9:
                 continue
-            sub = certify_capacity(tm.with_decay(j, i, t_star),
-                                   tol_border, tol_psd, _depth + 1)
+            sub = certify_capacity(tm_star, tol_border, tol_psd, _depth + 1)
             if not sub.exact or sub.value is None:
                 continue
             if abs(sub.value - lower) <= tol_border:
@@ -779,7 +760,6 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
     omega21 <= 1 - k/2^(n+1), extending the certified-equal-capacity region;
     the certified value is adc_capacity(gamma10), cross-checked against the
     diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2)."""
-    from .structure import connecting_choi
     if not (0.0 <= gamma10 <= 0.5):
         raise ConditionViolatedError(f"gamma10={gamma10} outside [0, 0.5]")
     q = adc_capacity(gamma10)

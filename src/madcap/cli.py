@@ -147,7 +147,7 @@ def _sweep_point(task):
                     parts.append(f"{side}:{c.status}")
                     if side == "right":
                         lo = c.min_eig
-                except MadcapError as exc:
+                except MadcapError:
                     parts.append(f"{side}:error")
             kind = "mono|" + "|".join(parts)
             value = _fmt(lo)

@@ -370,6 +370,20 @@ class TestAdcCapacity:
                               - adc_capacity(float(g))) / h)
         assert max(slopes) < 10.0  # empirical max slope ~6.2 near gamma = 0
 
+    @pytest.mark.parametrize("gamma, q", [
+        # the maximum of h2((1-g)p) - h2(gp), to 20 digits of a 40-digit
+        # mpmath computation
+        (0.05, 0.83112461606992091584),
+        (0.1, 0.70941826347367190753),
+        (0.2, 0.50621524092721283531),
+        (0.25, 0.41503749927884381855),
+        (0.3, 0.3279547619139562631),
+        (0.4, 0.1614798649008507538),
+        (0.45, 0.080444848123237823885),
+    ])
+    def test_matches_high_precision_values(self, gamma, q):
+        assert abs(adc_capacity(gamma) - q) <= 2.5e-16
+
     def test_range_check(self):
         with pytest.raises(ConditionViolatedError):
             adc_capacity(-0.1)
@@ -525,6 +539,21 @@ class TestCertifyCapacity:
         monkeypatch.setattr(structure, "monotonicity_certificate", broken)
         with pytest.raises(TypeError, match="injected"):
             certify_capacity(tm)
+
+    @pytest.mark.parametrize("decays, value, provenance", [
+        # sandwich: the (2, 1) axis meets its complete-damping end at 1 bit
+        ({(2, 1): 0.6}, 1.0, "axis (2->1): "),
+        # pin: lowering (2, 0) gives an exact upper bound equal to the
+        # diagonal maximum
+        ({(1, 0): 0.1, (2, 0): 0.6, (2, 1): 0.1}, 0.709418263473672,
+         "monotone decrease of (2->0) "),
+    ])
+    def test_region_extension_forms(self, decays, value, provenance,
+                                    fresh_stores):
+        cert = certify_capacity(TransitionMatrix(3, decays))
+        assert cert.kind == "ExactByRegionExtension"
+        assert abs(cert.value - value) <= 1e-12
+        assert cert.provenance[0].startswith(provenance)
 
     def test_axis_without_exact_end_skips_border_search(self, monkeypatch,
                                                        fresh_stores):

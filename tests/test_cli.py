@@ -1,5 +1,7 @@
+import csv
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,37 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("progress: 500/501\n")
         assert len(out.read_text().strip().split("\n")) == 502
+
+    def test_d3_lattice_matches_the_reference(self, tmp_path, fresh_stores):
+        # the 726 valid points of the 1/10 lattice in (g10, g20, g21);
+        # min_eig is left out, it differs from the reference by rounding
+        payload = {
+            "dim": 3,
+            "decays": [{"from": 1, "to": 0, "p": "g10"},
+                       {"from": 2, "to": 0, "p": "g20"},
+                       {"from": 2, "to": 1, "p": "g21"}],
+            "slots": {s: {"min": 0.0, "max": 1.0, "step": 0.1}
+                      for s in ("g10", "g20", "g21")},
+            "analyses": ["capacity"],
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(spec), "--out", str(out)]) == 0
+        reference = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                     / "sweep_d3_reference.csv")
+        columns = ("g10", "g20", "g21", "degradable", "antidegradable",
+                   "cert_kind", "cert_value")
+
+        def rows(path):
+            with open(path, newline="") as fh:
+                return [tuple(r[c] for c in columns)
+                        for r in csv.DictReader(fh)]
+
+        got, want = rows(out), rows(reference)
+        assert len(want) == 726
+        assert [g for g, w in zip(got, want) if g != w] == []
+        assert len(got) == len(want)
 
 
 class TestMad3:

@@ -37,7 +37,7 @@ from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_choi,
-                        degradability_status, is_antidegradable,
+                        degradable_or_boundary, is_antidegradable,
                         is_degradable)
 
 _ZERO_LEVEL_TOL = 1e-12
@@ -506,9 +506,7 @@ def _degradable_at(tm: TransitionMatrix, j: int, i: int, ts, tol_psd: float,
                    zeroed: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """is_degradable(...) in ("yes", "boundary") along one decay axis, for
     every t in ``ts`` in one batch."""
-    status, _ = degradability_status(_decay_stack(tm, j, i, ts, zeroed),
-                                     tol_psd)
-    return (status == "yes") | (status == "boundary")
+    return degradable_or_boundary(_decay_stack(tm, j, i, ts, zeroed), tol_psd)
 
 
 def _border_key(tm: TransitionMatrix, j: int, i: int, tol_psd: float,

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -93,16 +94,51 @@ def _parse_sweep_spec(payload):
         decays = payload["decays"]
         analyses = payload.get("analyses", ["classify"])
         mono = payload.get("monotonicity")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MadcapError(f"malformed sweep spec: {exc}") from exc
+    if not isinstance(slots, dict) or not isinstance(decays, list):
+        raise MadcapError("malformed sweep spec: slots must be an object "
+                          "and decays a list")
     slot_names = sorted(slots)
     ranges = []
     for name in slot_names:
-        s = slots[name]
-        vals = np.arange(float(s["min"]), float(s["max"]) + 1e-12,
-                         float(s["step"]))
+        lo, hi, step = (_spec_number(slots[name], key, f"slot {name!r}")
+                        for key in ("min", "max", "step"))
+        if step <= 0.0:
+            raise MadcapError(f"malformed sweep spec: slot {name!r} needs "
+                              f"step > 0, got {step}")
+        vals = np.arange(lo, hi + 1e-12, step)
         ranges.append([round(float(v), 12) for v in vals])
+    for entry in decays:
+        _spec_number(entry, "from", "decay")
+        _spec_number(entry, "to", "decay")
+        p = entry.get("p")
+        if not isinstance(p, str):
+            _spec_number(entry, "p", "decay")
+        elif p not in slots:
+            raise MadcapError(f"malformed sweep spec: decay p {p!r} names "
+                              f"no slot")
+    if "monotonicity" in analyses and mono:
+        if not isinstance(mono, dict):
+            raise MadcapError("malformed sweep spec: monotonicity must be an "
+                              "object")
+        keys = ("from", "to", "epsilon") if "epsilon" in mono else ("from", "to")
+        for key in keys:
+            _spec_number(mono, key, "monotonicity")
     return dim, decays, slot_names, ranges, analyses, mono
+
+
+def _spec_number(item, key: str, what: str) -> float:
+    """item[key] as a finite float, or MadcapError naming ``what``."""
+    try:
+        value = float(item[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MadcapError(f"malformed sweep spec: {what} needs a numeric "
+                          f"{key!r}") from exc
+    if not math.isfinite(value):
+        raise MadcapError(f"malformed sweep spec: {what} needs a finite "
+                          f"{key!r}, got {value}")
+    return value
 
 
 def _instantiate(dim, decays, slot_names, coords):

@@ -128,8 +128,10 @@ def _sector_blocks(n: int, pattern: bytes) -> tuple:
     size = np.bincount(label, minlength=n)[label]
     order = np.argsort(label, kind="stable")  # ascending within a component
     singles = np.flatnonzero(size == 1)
+    # the sizes present, ascending; bincount rather than np.unique, whose
+    # first call pages in about 0.5 MB
     groups = tuple(order[size[order] == s].reshape(-1, s)
-                   for s in np.unique(size) if s > 1)
+                   for s in np.flatnonzero(np.bincount(size)) if s > 1)
     for a in (singles,) + groups:
         a.flags.writeable = False
     return singles, groups

@@ -1,11 +1,17 @@
 """Structural classification: degradability, antidegradability, monotonicity
 certificates, and the 3-level connecting channel.
 
-Degradability is decided by the spectrum of the Choi matrix of the degrading
-map (complementary after inverse). Its superoperator is the product of the
-closed-form kernels complementary.complementary_superops and
+Degradability is decided by the smallest eigenvalue of the Choi matrix of the
+degrading map (complementary after inverse). Its superoperator is the product
+of the closed-form kernels complementary.complementary_superops and
 inverse.inverse_superops, for a whole stack of transition matrices at once.
-A single channel is a batch of one.
+A single channel is a batch of one. The degrading Choi has the same sparsity
+for every Gamma of a given d, so a per-d sector plan, derived from the two
+kernels' nonzero patterns, reads its decoupled diagonal entries and its
+sector blocks (one block of each size 2..d) straight out of the
+superoperator; the smallest eigenvalue is the least diagonal entry or block
+eigenvalue, with one stacked eigen-solve per block size. degrading_chois
+keeps the dense Choi.
 Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
@@ -20,10 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .channel import TransitionMatrix, channel_map
-from .complementary import complementary_superops, env_dim
+from .complementary import (_complementary_tables, complementary_superops,
+                            env_dim)
 from .errors import (ConditionViolatedError, NotComparableError,
                      SingularInverseError)
 from .inverse import inverse_superops, mad_inverse
+from .linalg import _sector_blocks
 from .maps import LinearMap
 
 BOUNDARY_BAND = 1e-7  # relative |min eig| band reported as "boundary"
@@ -64,39 +72,142 @@ def degrading_map(tm: TransitionMatrix) -> LinearMap:
     return LinearMap(_degrading_superops(tm.gamma[None])[0])
 
 
-def _psd_status(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """PSD verdicts with a boundary band for a stack (..., n, n), from one
-    stacked eigen-solve.
+def _psd_levels(tol: float) -> tuple[float, float, float]:
+    """Relative thresholds (strict, band, loose) of a PSD verdict, in units
+    of scale = max(1, max |entry|): lambda_min >= -strict·scale is "yes",
+    above -band·scale "boundary", above -loose·scale "yes" again, and "no"
+    below.
 
     Rank-deficient CP maps have exact zero Choi eigenvalues, so values down
     to numerical noise still mean "yes"; only slightly negative values inside
     the band are flagged "boundary" instead of being flipped to "no".
     """
+    return max(1e-12, tol * 1e-3), BOUNDARY_BAND, tol
+
+
+def _verdicts(lo: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
+    """PSD verdicts ("yes" | "no" | "boundary") from minimum eigenvalues and
+    scales, by the thresholds of _psd_levels."""
+    strict, band, loose = _psd_levels(tol)
+    return np.where(lo >= -strict * scale, "yes",
+                    np.where(lo >= -band * scale, "boundary",
+                             np.where(lo >= -loose * scale, "yes", "no")))
+
+
+def _psd_status(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """PSD verdicts with a boundary band (_verdicts) for a stack
+    (..., n, n), from one stacked dense eigen-solve."""
     lo = np.linalg.eigvalsh((c + c.conj().swapaxes(-1, -2)) / 2)[..., 0]
     scale = np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1)))
-    status = np.where(
-        lo >= -max(1e-12, tol * 1e-3) * scale, "yes",
-        np.where(lo >= -BOUNDARY_BAND * scale, "boundary",
-                 np.where(lo >= -tol * scale, "yes", "no")))
-    return status, lo
+    return _verdicts(lo, scale, tol), lo
+
+
+@lru_cache(maxsize=None)
+def _sector_plan(d: int) -> tuple:
+    """Where the degrading Choi's sectors sit in its superoperator.
+
+    Returns (pos, n_diag, blocks): ``pos`` lists flat positions into a
+    degrading superoperator (e² × d², flattened), first the Choi's decoupled
+    diagonal entries, then every entry of its sector blocks, block after
+    block, each row-major with ascending indices as in
+    linalg._sector_blocks; the first ``n_diag`` entries are the diagonal
+    ones; and ``blocks`` holds (start, k, s) for the k blocks of each size s.
+
+    Derived from the kernels' nonzero patterns, with no numeric draw: the
+    complementary tables times the inverse's coherence diagonal and its
+    population block, mapped to Choi indices (p·e + a, q·e + b). Gamma^{-T}
+    is upper triangular, but the whole population block is taken: the
+    pivoted np.linalg.inv can leave rounding-level entries below its
+    diagonal. They fall inside the same sectors, so the plan covers every
+    entry the kernel can produce."""
+    e = env_dim(d)
+    n = d * e
+    rows, cols, _, _ = _complementary_tables(d)
+    comp = np.zeros((e * e, d * d), dtype=bool)
+    comp[rows, cols] = True
+    inv = np.eye(d * d, dtype=bool)
+    pop = np.arange(0, d * d, d + 1)
+    inv[pop[:, None], pop] = True
+    def to_choi(sup: np.ndarray) -> np.ndarray:
+        # superoperator entry (a·e + b, p·d + q) is Choi entry
+        # (p·e + a, q·e + b)
+        return sup.reshape(e, e, d, d).transpose(2, 0, 3, 1).reshape(n, n)
+
+    mask = to_choi(comp @ inv)
+    flat = to_choi(np.arange(e * e * d * d))
+    singles, groups = _sector_blocks(n, np.packbits(mask | mask.T).tobytes())
+    pos, blocks = [flat[singles, singles]], []
+    start = len(singles)
+    for idx in groups:
+        k, size = idx.shape
+        pos.append(flat[idx[:, :, None], idx[:, None, :]].ravel())
+        blocks.append((start, k, size))
+        start += k * size * size
+    pos = np.concatenate(pos)
+    pos.flags.writeable = False  # shared by every caller of the cache
+    return pos, len(singles), tuple(blocks)
+
+
+def _degrading_min_eigs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue and scale max(1, max |entry|) of the normalized
+    degrading Choi of each Gamma in a stack (B, d, d) with every
+    gamma_kk > 0, from the sector plan: the least decoupled diagonal entry
+    and one stacked eigen-solve per block size.
+
+    Every entry is the dense Choi's (the superoperator entry over d, as in
+    degrading_chois) and the blocks are symmetrized as _psd_status does, so
+    only the eigen-solve's rounding differs from the dense test."""
+    b, d, _ = g.shape
+    pos, n_diag, blocks = _sector_plan(d)
+    vals = _degrading_superops(g).reshape(b, -1)[:, pos] / d
+    scale = np.abs(vals).max(axis=1, initial=1.0)
+    lo = vals[:, :n_diag].min(axis=1, initial=np.inf)
+    for start, k, size in blocks:
+        m = vals[:, start:start + k * size * size].reshape(b, k, size, size)
+        m = (m + m.swapaxes(-1, -2)) / 2
+        lo = np.minimum(lo, np.linalg.eigvalsh(m)[..., 0].min(axis=1))
+    return lo, scale
+
+
+def _degradability_spectra(gammas: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(known, lo, scale) for a Gamma stack (B, d, d): known is False where
+    some gamma_kk = 0 makes the inverse unavailable; there lo is nan and
+    scale 1."""
+    g = np.asarray(gammas, dtype=float)
+    known = np.all(np.diagonal(g, axis1=1, axis2=2)[:, 1:] > 0.0, axis=1)
+    lo = np.full(len(g), np.nan)
+    scale = np.ones(len(g))
+    if known.any():
+        lo[known], scale[known] = _degrading_min_eigs(g[known])
+    return known, lo, scale
 
 
 def degradability_status(gammas: np.ndarray,
                          tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Choi-PSD degradability verdicts for a Gamma stack (B, d, d): one
-    degrading-Choi kernel call and one stacked eigen-solve.
+    degrading-superoperator kernel call and one stacked eigen-solve per
+    sector block size.
 
     Returns the verdict of each channel ("yes" | "no" | "boundary", or
     "unknown" where some gamma_kk = 0 makes the inverse, and with it the
     test, unavailable) and its minimum Choi eigenvalue (nan if unknown).
     """
-    g = np.asarray(gammas, dtype=float)
-    known = np.all(np.diagonal(g, axis1=1, axis2=2)[:, 1:] > 0.0, axis=1)
-    status = np.full(len(g), "unknown", dtype="<U8")
-    lo = np.full(len(g), np.nan)
-    if known.any():
-        status[known], lo[known] = _psd_status(degrading_chois(g[known]), tol)
+    known, lo, scale = _degradability_spectra(gammas)
+    status = _verdicts(lo, scale, tol)
+    status[~known] = "unknown"
     return status, lo
+
+
+def degradable_or_boundary(gammas: np.ndarray,
+                           tol: float = 1e-9) -> np.ndarray:
+    """degradability_status(gammas, tol) in ("yes", "boundary"), as one
+    boolean per channel, without the verdict strings: a verdict of
+    _verdicts is "yes" or "boundary" exactly when lambda_min clears the
+    widest of the _psd_levels thresholds. Unknown channels (lo = nan) are
+    False."""
+    _, lo, scale = _degradability_spectra(gammas)
+    return lo >= -max(_psd_levels(tol)) * scale
 
 
 def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:

@@ -142,6 +142,31 @@ class TestSweep:
         assert main(["sweep", str(spec), "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"slots": {"g": {"min": 0.0, "max": 1.0, "step": 0}}},
+        {"slots": {"g": {"min": 0.0, "max": 1.0}}},
+        {"decays": [{"from": 1, "to": 0, "p": "h"}]},
+        {"dim": "two"},
+        {"slots": ["g"]},
+        {"analyses": ["monotonicity"], "monotonicity": {"from": 1}},
+        {"analyses": ["monotonicity"], "monotonicity": 1},
+    ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
+            "monotonicity", "monotonicity-number"])
+    def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**adc_sweep_spec(), **change}))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed sweep spec")
+        assert not out.exists()
+
+    def test_unused_monotonicity_block_is_not_checked(self, tmp_path):
+        # the block is read only when the monotonicity analysis is asked for
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**adc_sweep_spec(), "monotonicity": 1}))
+        assert main(["sweep", str(spec), "--out",
+                     str(tmp_path / "x.csv")]) == 0
+
     def test_threads_option_exits_2(self, tmp_path):
         # sweeps are serial; the removed --threads option is malformed input
         spec = tmp_path / "spec.json"

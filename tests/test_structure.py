@@ -12,7 +12,8 @@ from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
                               connecting_eigenvalues, degradability_status,
-                              degrading_chois, degrading_map,
+                              degradable_or_boundary, degrading_chois,
+                              degrading_map,
                               is_antidegradable, is_degradable,
                               mad_choi_state, mad_choi_states,
                               monotonicity_certificate, two_extension_taus)
@@ -131,6 +132,109 @@ class TestDegradingChoiKernel:
             else:
                 assert v == res.min_choi_eig
         assert list(status[[0, 2, 3]]) == ["yes", "no", "unknown"]
+
+
+def weak_channel(d, rng):
+    """Random channel with every survival probability gamma_kk = 1e-3."""
+    decays = {}
+    for j in range(1, d):
+        w = rng.dirichlet(np.ones(j)) * (1.0 - 1e-3)
+        decays.update({(j, i): float(w[i]) for i in range(j)})
+    return TransitionMatrix(d, decays)
+
+
+def planned_choi_mask(d):
+    """Choi positions (d·e × d·e) the sector plan reads, mapped from its
+    superoperator positions with degrading_chois's reshuffle."""
+    e = env_dim(d)
+    pos, _, _ = structure._sector_plan(d)
+    covered = np.zeros(e * e * d * d, dtype=bool)
+    covered[pos] = True
+    return covered.reshape(e, e, d, d).transpose(2, 0, 3, 1).reshape(
+        d * e, d * e)
+
+
+def dense_min_eigs(chois):
+    return np.linalg.eigvalsh((chois + chois.swapaxes(-1, -2)) / 2)[:, 0]
+
+
+def d3_grid_stack(step=0.05):
+    """Gamma of every point of the d = 3 grid (gamma10, gamma20, gamma21)
+    with the given step, as TransitionMatrix builds it."""
+    n = round(1 / step)
+    tms = [TransitionMatrix(3, {(1, 0): a * step, (2, 0): b * step,
+                                (2, 1): c * step})
+           for a in range(n + 1) for b in range(n + 1)
+           for c in range(n + 1 - b)]
+    return np.stack([tm.gamma for tm in tms])
+
+
+class TestSectorPlan:
+    def test_plan_shape(self):
+        for d, singles, sizes in ((3, 7, (2, 3)), (4, 19, (2, 3, 4))):
+            pos, n_diag, blocks = structure._sector_plan(d)
+            assert n_diag == singles
+            assert tuple(size for _, _, size in blocks) == sizes
+            assert all(k == 1 for _, k, _ in blocks)
+            assert len(pos) == singles + sum(s * s for s in sizes)
+            assert len(set(pos.tolist())) == len(pos)
+            assert not pos.flags.writeable
+
+    def test_every_nonzero_lies_in_a_planned_single_or_block(self, rng):
+        for d in range(1, 6):
+            tms = [random_transition_matrix(d, rng) for _ in range(40)]
+            tms += [sparse_channel(d, rng) for _ in range(40)]
+            if d > 1:
+                tms += [weak_channel(d, rng) for _ in range(40)]
+            chois = degrading_chois(np.stack([tm.gamma for tm in tms]))
+            outside = (chois != 0) & ~planned_choi_mask(d)
+            assert not outside.any(), d
+
+    def test_min_eig_matches_the_dense_solve(self, rng):
+        for d in range(1, 6):
+            tms = [random_transition_matrix(d, rng) for _ in range(30)]
+            tms += [sparse_channel(d, rng) for _ in range(30)]
+            if d > 1:
+                tms += [weak_channel(d, rng) for _ in range(30)]
+            stack = np.stack([tm.gamma for tm in tms])
+            chois = degrading_chois(stack)
+            scale = np.maximum(1.0, np.abs(chois).max(axis=(1, 2)))
+            _, lo = degradability_status(stack)
+            assert np.all(np.abs(lo - dense_min_eigs(chois))
+                          <= 1e-12 * scale), d
+
+    def test_empty_and_one_level_stacks(self):
+        for d in (1, 2, 3):
+            status, lo = degradability_status(np.zeros((0, d, d)))
+            assert status.shape == lo.shape == (0,)
+            assert degradable_or_boundary(np.zeros((0, d, d))).shape == (0,)
+        status, lo = degradability_status(np.ones((1, 1, 1)))
+        assert list(status) == ["yes"] and lo[0] == 1.0
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_verdicts_and_border_predicate_match_dense_status(self, tol):
+        rng = np.random.default_rng(1206)
+        # gamma10 just above 1/2 puts lambda_min in every band, from "no"
+        # through the loose "yes" and "boundary" down to the strict "yes"
+        near = np.stack([TransitionMatrix(3, {(1, 0): 0.5 + 10.0 ** -e}).gamma
+                         for e in np.arange(4.0, 14.0, 0.5)])
+        stacks = [d3_grid_stack(), near, np.stack(
+            [random_transition_matrix(4, rng).gamma for _ in range(200)])]
+        for stack in stacks:
+            status, lo = degradability_status(stack, tol)
+            known = status != "unknown"
+            assert np.array_equal(known, np.all(
+                np.diagonal(stack, axis1=1, axis2=2)[:, 1:] > 0.0, axis=1))
+            assert np.all(np.isnan(lo[~known]))
+            dense, _ = structure._psd_status(degrading_chois(stack[known]),
+                                             tol)
+            assert np.array_equal(status[known], dense)
+            assert np.array_equal(degradable_or_boundary(stack, tol),
+                                  (status == "yes") | (status == "boundary"))
+        assert {"yes", "no", "unknown"} <= set(
+            degradability_status(stacks[0], tol)[0])
+        assert {"yes", "no", "boundary"} <= set(
+            degradability_status(near, tol)[0])
 
 
 class TestIsDegradable:

@@ -10,7 +10,9 @@ The certificate cascade for a transition matrix:
      pinned between a monotone upper bound and an independent lower bound;
      both forms find the degradable border t* of their line
      Gamma(t) = tm.with_decay(j, i, t), optionally with a second entry
-     zeroed, by the same bisection search (_line_border)
+     zeroed, by the same bisection search (_line_border) over the line's
+     whole domain, so t* depends on the line only and is stored once per
+     line; an axis whose t* lies above gamma_ji is skipped
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
@@ -425,15 +427,15 @@ class CapacityCertificate:
 
 
 # The process's stores: certificates by (Gamma key, tolerances, depth cap),
-# diagonal maxima by exact Gamma bytes, and the final bracket of the last
-# border search of each predicate (_border_key). One madcap command is one
-# process, so these maps are the store of one sweep. Each holds at most
-# _STORE_MAX entries, the oldest evicted first; they are kept apart so that
-# bracket churn never evicts certificates. The lock is for library callers
-# that certify from several threads.
+# diagonal maxima by exact Gamma bytes, and the degradable border t* of each
+# searched line (_line_border). One madcap command is one process, so these
+# maps are the store of one sweep. Each holds at most _STORE_MAX entries, the
+# oldest evicted first; they are kept apart so that border churn never evicts
+# certificates. The lock is for library callers that certify from several
+# threads.
 _CERT_CACHE: dict = {}
 _DIAG_MAX: dict = {}
-_BRACKETS: dict = {}
+_BORDERS: dict = {}
 _STORE_MAX = 8192
 _CERT_LOCK = threading.Lock()
 
@@ -445,21 +447,17 @@ _BISECT_LEVELS = 60
 _LEVELS_PER_ROUND = 3
 
 
-def _remember(store: dict, key, value) -> None:
-    """store[key] = value, then evict the oldest entries beyond _STORE_MAX."""
-    with _CERT_LOCK:
-        store[key] = value
-        while len(store) > _STORE_MAX:
-            del store[next(iter(store))]
-
-
 def _stored(store: dict, key, compute):
-    """store[key], or compute() remembered there on a miss."""
+    """store[key], or compute() remembered there on a miss, evicting the
+    oldest entries beyond _STORE_MAX."""
     with _CERT_LOCK:
         value = store.get(key)
     if value is None:
         value = compute()
-        _remember(store, key, value)
+        with _CERT_LOCK:
+            store[key] = value
+            while len(store) > _STORE_MAX:
+                del store[next(iter(store))]
     return value
 
 
@@ -509,25 +507,20 @@ def _degradable_at(tm: TransitionMatrix, j: int, i: int, ts, tol_psd: float,
     return degradable_or_boundary(_decay_stack(tm, j, i, ts, zeroed), tol_psd)
 
 
-def _border_key(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
-                zeroed: Optional[Tuple[int, int]] = None) -> tuple:
-    """Names the predicate _degradable_at(tm, j, i, ., tol_psd, zeroed).
-    Gamma at t = 0 fixes Gamma(t) for every t (same off-diagonals, t at
-    (j, i), diagonals recomputed), so searches along the same line share a
-    key whichever point and caller they start from."""
-    return (_decay_stack(tm, j, i, [0.0], zeroed)[0].tobytes(), j, i, tol_psd)
-
-
 def _line_border(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
-                 zeroed: Optional[Tuple[int, int]] = None
-                 ) -> Tuple[float, TransitionMatrix]:
-    """(t*, tm.with_decay(j, i, t*)): the degradable border t* of the line
-    Gamma(t) of _degradable_at(tm, j, i, ., tol_psd, zeroed) on
-    [0, gamma_ji]. The caller has checked that Gamma(0) is degradable."""
-    t = _border(lambda ts: _degradable_at(tm, j, i, ts, tol_psd, zeroed),
-                0.0, float(tm.gamma[j, i]),
-                _border_key(tm, j, i, tol_psd, zeroed))
-    return t, tm.with_decay(j, i, t)
+                 zeroed: Optional[Tuple[int, int]] = None) -> float:
+    """The degradable border t* of the line Gamma(t) of
+    _degradable_at(tm, j, i, ., tol_psd, zeroed), searched on the line's
+    whole domain [0, top], top = Gamma(0)[j, j], where level j decays
+    completely. Gamma(0) fixes Gamma(t) for every t (same off-diagonals, t
+    at (j, i), diagonals recomputed), so t* is a function of the line alone,
+    whichever point and caller the search starts from, and is remembered in
+    _BORDERS under it. The caller has checked that Gamma(0) is degradable;
+    t* may lie above gamma_ji."""
+    g0 = _decay_stack(tm, j, i, [0.0], zeroed)[0]
+    return _stored(_BORDERS, (g0.tobytes(), j, i, tol_psd), lambda: _border(
+        lambda ts: _degradable_at(tm, j, i, ts, tol_psd, zeroed),
+        0.0, float(g0[j, j])))
 
 
 def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
@@ -537,57 +530,34 @@ def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
     return mid == lo or (mid == hi and hi_tested)
 
 
-def _border(pred_batch, lo: float, hi: float, key=None) -> float:
+def _border(pred_batch, lo: float, hi: float) -> float:
     """Largest t in [lo, hi] with pred true, assuming pred(lo) and not
     pred(hi), by bisection on the boolean, _BISECT_LEVELS levels deep.
 
     ``pred_batch`` maps an array of t to an array of booleans. Whenever the
-    next midpoint has no verdict yet, one call evaluates a round of
-    midpoints:
-      - with ``key`` naming a predicate searched before, the first round
-        predicts the whole path from that search's final bracket
-        (lo*, hi*), "true" iff mid < hi*, and evaluates every midpoint on
-        it;
-      - every other round evaluates the midpoints of the next
-        _LEVELS_PER_ROUND levels of the bisection tree.
-    Each step applies the verdict at its own midpoint, so the answer equals
-    that of sequential bisection, and a stale or wrong bracket costs time,
-    never the answer. The search stops once float resolution leaves lo
-    fixed (_settled); the initial hi counts as untested. The final bracket
-    is remembered under ``key``."""
-    with _CERT_LOCK:
-        known = None if key is None else _BRACKETS.get(key)
+    next midpoint has no verdict yet, one call evaluates the midpoints of
+    the next _LEVELS_PER_ROUND levels of the bisection tree. Each step
+    applies the verdict at its own midpoint, so the answer equals that of
+    sequential bisection. The search stops once float resolution leaves lo
+    fixed (_settled); the initial hi counts as untested."""
     left, hi_tested, verdicts = _BISECT_LEVELS, False, {}
     while left and not _settled(lo, hi, hi_tested):
         mid = 0.5 * (lo + hi)
         if mid not in verdicts:
-            if known is not None:
-                mids, a, b, b_tested = [], lo, hi, hi_tested
-                while len(mids) < left and not _settled(a, b, b_tested):
+            mids, level = [], [(lo, hi)]
+            for _ in range(min(_LEVELS_PER_ROUND, left)):
+                nxt = []
+                for a, b in level:
                     m = 0.5 * (a + b)
                     mids.append(m)
-                    if m < known[1]:
-                        a = m
-                    else:
-                        b, b_tested = m, True
-                known = None
-            else:
-                mids, level = [], [(lo, hi)]
-                for _ in range(min(_LEVELS_PER_ROUND, left)):
-                    nxt = []
-                    for a, b in level:
-                        m = 0.5 * (a + b)
-                        mids.append(m)
-                        nxt += [(a, m), (m, b)]
-                    level = nxt
+                    nxt += [(a, m), (m, b)]
+                level = nxt
             verdicts = dict(zip(mids, pred_batch(np.array(mids))))
         if verdicts[mid]:
             lo = mid
         else:
             hi, hi_tested = mid, True
         left -= 1
-    if key is not None:
-        _remember(_BRACKETS, key, (lo, hi))
     return lo
 
 
@@ -694,7 +664,11 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1)
         if not sub.exact or sub.value is None:
             continue
-        t_border, tm_lo = _line_border(tm, j, i, tol_psd)
+        # a border above gamma_ji would run the monotone path backwards
+        t_border = _line_border(tm, j, i, tol_psd)
+        if t_border > gji:
+            continue
+        tm_lo = tm.with_decay(j, i, t_border)
         v_low = _diag_max(tm_lo)
         if abs(v_low - sub.value) > tol_border:
             continue
@@ -732,10 +706,13 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
                                              zeroed)
             if at_top or not at_zero:
                 continue
-            t_star, tm_star = _line_border(tm, j, i, tol_psd, zeroed)
+            # checked first: above gamma_ji the kept entry of ``zeroed`` can
+            # push the row sum of tm.with_decay(j, i, t*) past 1
+            t_star = _line_border(tm, j, i, tol_psd, zeroed)
             if t_star >= gji - 1e-9:
                 continue
-            sub = certify_capacity(tm_star, tol_border, tol_psd, _depth + 1)
+            sub = certify_capacity(tm.with_decay(j, i, t_star), tol_border,
+                                   tol_psd, _depth + 1)
             if not sub.exact or sub.value is None:
                 continue
             if abs(sub.value - lower) <= tol_border:

@@ -161,14 +161,6 @@ def compose(first: TransitionMatrix, second: TransitionMatrix) -> TransitionMatr
     return TransitionMatrix.from_matrix(first.gamma @ second.gamma)
 
 
-def _single_level_matrix(d: int, k: int, probs: Dict[int, float]) -> np.ndarray:
-    g = np.eye(d)
-    for i, p in probs.items():
-        g[k, i] = p
-    g[k, k] = 1.0 - sum(probs.values())
-    return g
-
-
 def decompose_by_level(tm: TransitionMatrix) -> List[TransitionMatrix]:
     """Factor Gamma = Gamma_1 Gamma_2 ... Gamma_{d-1}, where Gamma_k only lets
     level k decay; channel application order is Gamma_1 first."""

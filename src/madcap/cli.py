@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
 Sweeps certify one grid point after another in lexicographic grid order.
 One command is one process, and the certificates, diagonal maxima and
-border brackets that the capacity module remembers for the process are
-what later points of a sweep reuse. Diagnostics (sweep progress,
+line borders that the capacity module remembers for the process are what
+later points of a sweep reuse. Diagnostics (sweep progress,
 conditioning warnings) are log records of the ``madcap`` loggers; while a
 command runs they are printed to stderr.
 """
@@ -99,6 +99,10 @@ def _parse_sweep_spec(payload):
     if not isinstance(slots, dict) or not isinstance(decays, list):
         raise MadcapError("malformed sweep spec: slots must be an object "
                           "and decays a list")
+    if (not isinstance(analyses, list)
+            or not all(isinstance(a, str) for a in analyses)):
+        raise MadcapError("malformed sweep spec: analyses must be a list of "
+                          "strings")
     slot_names = sorted(slots)
     ranges = []
     for name in slot_names:
@@ -125,6 +129,10 @@ def _parse_sweep_spec(payload):
         keys = ("from", "to", "epsilon") if "epsilon" in mono else ("from", "to")
         for key in keys:
             _spec_number(mono, key, "monotonicity")
+        j, i = int(mono["from"]), int(mono["to"])
+        if not 0 <= i < j < dim:
+            raise MadcapError(f"malformed sweep spec: monotonicity needs "
+                              f"0 <= to < from < dim, got from {j}, to {i}")
     return dim, decays, slot_names, ranges, analyses, mono
 
 

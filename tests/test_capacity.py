@@ -542,18 +542,33 @@ class TestCertifyCapacity:
 
     @pytest.mark.parametrize("decays, value, provenance", [
         # sandwich: the (2, 1) axis meets its complete-damping end at 1 bit
-        ({(2, 1): 0.6}, 1.0, "axis (2->1): "),
+        ({(2, 1): 0.6}, 1.0,
+         "axis (2->1): degradable border at 0.500000075 (value 1.000000000) "
+         "matches the complete-damping border (value 1.000000000); "
+         "path monotone"),
         # pin: lowering (2, 0) gives an exact upper bound equal to the
         # diagonal maximum
         ({(1, 0): 0.1, (2, 0): 0.6, (2, 1): 0.1}, 0.709418263473672,
-         "monotone decrease of (2->0) "),
+         "monotone decrease of (2->0) to 0.500000075 gives exact upper "
+         "bound 0.709418263; lower bound 0.709418263 matches"),
+        # the analytic border of the (2, 0) axis is 0.1; this one lies in
+        # the promoted boundary band
+        ({(2, 0): 0.3, (2, 1): 0.4}, 1.0,
+         "axis (2->0): degradable border at 0.100000075 (value 1.000000000) "
+         "matches the complete-damping border (value 1.000000000); "
+         "path monotone"),
+        # the README channel
+        ({(1, 0): 0.7, (3, 2): 0.35, (3, 0): 0.35}, 1.0,
+         "monotone decrease of (1->0) to 0.500000100 gives exact upper "
+         "bound 1.000000000; lower bound 1.000000000 matches"),
     ])
     def test_region_extension_forms(self, decays, value, provenance,
                                     fresh_stores):
-        cert = certify_capacity(TransitionMatrix(3, decays))
+        dim = 1 + max(j for j, _ in decays)
+        cert = certify_capacity(TransitionMatrix(dim, decays))
         assert cert.kind == "ExactByRegionExtension"
         assert abs(cert.value - value) <= 1e-12
-        assert cert.provenance[0].startswith(provenance)
+        assert cert.provenance == [provenance]
 
     def test_axis_without_exact_end_skips_border_search(self, monkeypatch,
                                                        fresh_stores):
@@ -573,10 +588,33 @@ class TestCertifyCapacity:
             calls.append(args)
             return inner(*args)
 
-        # the ends are cached now, so only the axis loop itself can bisect
+        # the ends are cached now and the border store is emptied, so only
+        # the axis loop itself can bisect
+        monkeypatch.setattr(capacity, "_BORDERS", {})
         monkeypatch.setattr(capacity, "_border", counting)
         assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0) is None
         assert len(calls) == 1
+
+    def test_border_above_gamma_ji_is_not_used(self, monkeypatch,
+                                               fresh_stores):
+        # every border at its line's top, where level j decays completely
+        tops = []
+
+        def top_border(tm, j, i, tol_psd, zeroed=None):
+            tops.append((j, i, zeroed))
+            g0 = capacity._decay_stack(tm, j, i, [0.0], zeroed)[0]
+            return float(g0[j, j])
+
+        monkeypatch.setattr(capacity, "_line_border", top_border)
+        # the sandwich's only axis would otherwise run backwards to 1 bit
+        sandwich = TransitionMatrix(3, {(2, 1): 0.6})
+        assert capacity._try_axis_sandwich(sandwich, 1e-6, 1e-9, 0) is None
+        assert tops == [(2, 1, None)]
+        # with (2, 1) kept, tm.with_decay(2, 0, top) would be no channel
+        pin = TransitionMatrix(3, {(1, 0): 0.1, (2, 0): 0.6, (2, 1): 0.1})
+        tops.clear()
+        assert capacity._try_monotone_pin(pin, 0.7, 1e-6, 1e-9, 0) is None
+        assert (2, 0, (2, 1)) in tops
 
 
 def sequential_bisection(pred, lo, hi):
@@ -611,38 +649,6 @@ class TestBorderSearch:
         got = capacity._border(pred, 0.0, 0.7)
         assert got == sequential_bisection(lambda t: bool(pred(t)), 0.0, 0.7)
 
-    @staticmethod
-    def brackets(rng, hi):
-        """Stored brackets a search may meet besides its own: a wrong one
-        and random garbage (reversed, out of range, infinite, nan)."""
-        t_other = float(rng.uniform(0.0, hi))
-        return [(t_other, np.nextafter(t_other, 1.0)),
-                (float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))),
-                (hi, 0.0), (-np.inf, np.inf), (np.nan, np.nan), (5.0, 7.0)]
-
-    @pytest.mark.parametrize("levels", [1, 3, 4, 7])
-    def test_remembered_brackets_keep_sequential_answers(self, rng,
-                                                         monkeypatch, levels):
-        monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
-        monkeypatch.setattr(capacity, "_BRACKETS", {})
-
-        def sin_pred(t):
-            return np.sin(1.0 / (np.asarray(t) + 1e-3)) > 0.0
-
-        for k in range(8):
-            hi = float(rng.uniform(0.01, 1.0))
-            t_star = float(rng.uniform(0.0, hi))
-            cases = [(lambda ts, t=t_star: ts <= t, hi),
-                     (lambda ts, t=t_star: ts < t, hi), (sin_pred, 0.7)]
-            for pred, top in cases:
-                want = sequential_bisection(lambda t: bool(pred(t)), 0.0, top)
-                # the store first empty, then holding this search's bracket
-                assert capacity._border(pred, 0.0, top, ("k", k)) == want
-                assert capacity._border(pred, 0.0, top, ("k", k)) == want
-                for stored in self.brackets(rng, top):
-                    capacity._BRACKETS[("k", k)] = stored
-                    assert capacity._border(pred, 0.0, top, ("k", k)) == want
-
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_float_resolution_stop_keeps_sequential_answers(self, rng, width):
         for _ in range(50):
@@ -663,47 +669,62 @@ class TestBorderSearch:
                 assert capacity._border(counting, lo, hi) == want
                 assert len(calls) <= 2 * width
 
-    def test_repeated_search_needs_at_most_two_batches(self, monkeypatch):
-        monkeypatch.setattr(capacity, "_BRACKETS", {})
-        calls = []
-
-        def counting(pred):
-            def wrapped(ts):
-                calls.append(len(ts))
-                return pred(ts)
-            return wrapped
-
-        # the d = 3 LowerBound anchor's (2, 1) axis, with and without
-        # (1, 0) zeroed, and a threshold, each searched again over ranges
-        # that hold the border found first
-        tm = ANCHORS[0]
-        cases = [(lambda ts: capacity._degradable_at(tm, 2, 1, ts, 1e-9),
-                  [0.3, 0.3, 0.25, 0.2]),
-                 (lambda ts: capacity._degradable_at(tm, 2, 1, ts, 1e-9,
-                                                    (1, 0)), [0.7, 0.7, 0.5]),
-                 (lambda ts: ts <= 0.123, [0.5, 0.5, 0.2, 0.9])]
-        for n, (pred, tops) in enumerate(cases):
-            want = capacity._border(counting(pred), 0.0, tops[0], n)
-            assert len(calls) > 2
-            for top in tops[1:]:
-                calls.clear()
-                got = capacity._border(counting(pred), 0.0, top, n)
-                assert got == sequential_bisection(
-                    lambda t: bool(pred(np.array([t]))[0]), 0.0, top)
-                assert len(calls) <= 2
-                if top == tops[0]:
-                    assert got == want and len(calls) == 1
-
-    def test_sandwich_and_pin_share_a_key_for_one_predicate(self):
+    def test_sandwich_and_pin_share_a_key_for_one_predicate(
+            self, monkeypatch):
+        # one stored border per line Gamma(t) and PSD tolerance
+        monkeypatch.setattr(capacity, "_BORDERS", {})
         tm = TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3})
-        assert (capacity._border_key(tm, 2, 1, 1e-9)
-                == capacity._border_key(tm, 2, 1, 1e-9, (2, 0)))
-        assert (capacity._border_key(tm, 2, 1, 1e-9)
-                != capacity._border_key(tm, 2, 1, 1e-9, (1, 0)))
-        assert (capacity._border_key(tm, 2, 1, 1e-9)
-                == capacity._border_key(tm.with_decay(2, 1, 0.6), 2, 1, 1e-9))
-        assert (capacity._border_key(tm, 2, 1, 1e-9)
-                != capacity._border_key(tm, 2, 1, 1e-8))
+        searches = [(tm, 2, 1, 1e-9), (tm, 2, 1, 1e-9, (2, 0)),
+                    (tm, 2, 1, 1e-9, (1, 0)),
+                    (tm.with_decay(2, 1, 0.6), 2, 1, 1e-9),
+                    (tm, 2, 1, 1e-8)]
+        stored = []
+        for args in searches:
+            capacity._line_border(*args)
+            stored.append(len(capacity._BORDERS))
+        assert stored == [1, 1, 2, 2, 3]
+
+    def test_line_border_depends_on_the_line_only(self, rng, monkeypatch):
+        calls = []
+        inner = capacity._degradable_at
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(capacity, "_degradable_at", counting)
+        lines = 0
+        for d in (3, 4):
+            for _ in range(10):
+                tm = random_transition_matrix(d, rng)
+                for (j, i), zeroed in itertools.product(sorted(tm.decays),
+                                                        [None, (d - 1, 0)]):
+                    if (j, i) == zeroed or not inner(tm, j, i, [0.0], 1e-9,
+                                                     zeroed)[0]:
+                        continue
+                    lines += 1
+                    # points on the line: t = 0, the channel itself and
+                    # random t up to where the row keeps its other entries
+                    room = float(tm.gamma[j, i] + tm.gamma[j, j])
+                    ts = np.r_[0.0, tm.gamma[j, i], rng.uniform(0, room, 3)]
+                    points = [tm.with_decay(j, i, float(t)) for t in ts]
+                    got = []
+                    for point in points:
+                        monkeypatch.setattr(capacity, "_BORDERS", {})
+                        got.append(capacity._line_border(point, j, i, 1e-9,
+                                                         zeroed))
+                    g0 = capacity._decay_stack(tm, j, i, [0.0], zeroed)[0]
+                    want = sequential_bisection(
+                        lambda t: bool(inner(tm, j, i, [t], 1e-9, zeroed)[0]),
+                        0.0, float(g0[j, j]))
+                    assert got == [want] * len(points)
+                    # a warm repeat from any point makes no predicate call
+                    calls.clear()
+                    for point in points:
+                        assert capacity._line_border(point, j, i, 1e-9,
+                                                     zeroed) == want
+                    assert calls == []
+        assert lines >= 10
 
     def test_decay_stack_equals_with_decay(self, rng):
         for d in (3, 4):
@@ -761,34 +782,8 @@ class TestCertificateCache:
             evicting.append((cert.kind, cert.value))
             assert len(capacity._CERT_CACHE) <= 3
             assert len(capacity._DIAG_MAX) <= 3
+            assert len(capacity._BORDERS) <= 3
         assert evicting == cold
-
-    def test_certificates_ignore_the_bracket_store(self, rng, monkeypatch,
-                                                   fresh_stores):
-        tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
-
-        def certify_all():
-            out = []
-            for tm in tms:
-                monkeypatch.setattr(capacity, "_CERT_CACHE", {})
-                cert = certify_capacity(tm)
-                out.append((cert.kind, repr(cert.value), cert.provenance))
-                assert len(capacity._BRACKETS) <= capacity._STORE_MAX
-            return out
-
-        keys, cold = set(), []
-        for tm in tms:
-            fresh_stores()
-            cert = certify_capacity(tm)
-            cold.append((cert.kind, repr(cert.value), cert.provenance))
-            keys |= set(capacity._BRACKETS)
-        assert len(keys) > 2
-        garbage = {k: tuple(rng.uniform(-0.5, 1.5, 2)) for k in keys}
-        monkeypatch.setattr(capacity, "_BRACKETS", garbage)
-        assert certify_all() == cold
-        monkeypatch.setattr(capacity, "_BRACKETS", {})
-        monkeypatch.setattr(capacity, "_STORE_MAX", 2)
-        assert certify_all() == cold
 
     @staticmethod
     def run_threads(work_item, n_items):
@@ -831,22 +826,28 @@ class TestCertificateCache:
         self.run_threads(item, len(tms))
         assert len(capacity._CERT_CACHE) <= 2
 
-    def test_threads_share_a_small_bracket_store(self, monkeypatch):
-        # threshold searches over 16 keys; with a cap of 2 nearly every
-        # search evicts, and a search meets brackets other threads stored
-        thresholds = np.linspace(0.05, 0.95, 16)
-        want = [sequential_bisection(lambda t, c=c: t <= c, 0.0, 1.0)
-                for c in thresholds]
-        monkeypatch.setattr(capacity, "_BRACKETS", {})
+    def test_threads_share_a_small_border_store(self, monkeypatch):
+        # threshold predicates on 16 lines; with a cap of 2 nearly every
+        # search evicts another thread's border
+        tms = [TransitionMatrix(3, {(2, 0): 0.05 * (k + 1), (2, 1): 0.1})
+               for k in range(16)]
+
+        def threshold(tm, j, i, ts, tol_psd, zeroed=None):
+            return np.asarray(ts) <= 0.3 * tm.gamma[2, 0]
+
+        # each line's top is Gamma(0)[2, 2] = 1 - gamma_20
+        want = [sequential_bisection(lambda t, tm=tm: threshold(tm, 2, 1, t, 0),
+                                     0.0, 1.0 - tm.gamma[2, 0]) for tm in tms]
+        monkeypatch.setattr(capacity, "_degradable_at", threshold)
+        monkeypatch.setattr(capacity, "_BORDERS", {})
         monkeypatch.setattr(capacity, "_STORE_MAX", 2)
 
         def item(k):
-            c = thresholds[k % 16]
-            got = capacity._border(lambda ts: ts <= c, 0.0, 1.0, k % 16)
+            got = capacity._line_border(tms[k % 16], 2, 1, 1e-9)
             assert got == want[k % 16]
 
         self.run_threads(item, 160)
-        assert len(capacity._BRACKETS) <= 2
+        assert len(capacity._BORDERS) <= 2
 
 
 class TestMad3Verification:

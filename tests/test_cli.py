@@ -150,8 +150,11 @@ class TestSweep:
         {"slots": ["g"]},
         {"analyses": ["monotonicity"], "monotonicity": {"from": 1}},
         {"analyses": ["monotonicity"], "monotonicity": 1},
+        {"analyses": 5},
+        {"analyses": ["monotonicity"], "monotonicity": {"from": 5, "to": 0}},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
-            "monotonicity", "monotonicity-number"])
+            "monotonicity", "monotonicity-number", "analyses-number",
+            "monotonicity-level"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))

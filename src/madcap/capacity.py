@@ -8,13 +8,13 @@ The certificate cascade for a transition matrix:
   4. region extension along a single decay entry, either sandwiched between
      a degradable border and a complete-damping border with equal values, or
      pinned between a monotone upper bound and an independent lower bound;
-     both forms find the degradable border t* of their line
-     Gamma(t) = tm.with_decay(j, i, t), optionally with a second entry
-     zeroed, by the same bisection search (_line_border) over the line's
-     whole domain, so t* depends on the line only and is stored once per
-     line; an axis whose t* lies above gamma_ji is skipped
+     both find the degradable border t* of their line Gamma(t) =
+     tm.with_decay(j, i, t), optionally with a second entry zeroed, by one
+     bisection (_line_border) of [0, top], top = Gamma(0)[j, j], the
+     sandwich's complete-damping end; an axis with t* > gamma_ji is skipped
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
+Stores are keyed by exact Gamma bytes: no answer depends on call order.
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
 ascent on the simplex from the best points of a grid and the faces next to
 its result, handling the faces where a level is 0 explicitly, until the
@@ -426,13 +426,14 @@ class CapacityCertificate:
         return json.dumps(payload)
 
 
-# The process's stores: certificates by (Gamma key, tolerances, depth cap),
-# diagonal maxima by exact Gamma bytes, and the degradable border t* of each
-# searched line (_line_border). One madcap command is one process, so these
-# maps are the store of one sweep. Each holds at most _STORE_MAX entries, the
-# oldest evicted first; they are kept apart so that border churn never evicts
-# certificates. The lock is for library callers that certify from several
-# threads.
+# The process's stores, keyed by exact Gamma bytes, so a stored answer is one
+# for that very Gamma and the order of calls never matters: certificates by
+# (Gamma, tolerances, depth cap), diagonal maxima by Gamma, and the border t*
+# of each searched line (_line_border) by its Gamma(0). One madcap command is
+# one process, so these maps are the store of one sweep. Each holds at most
+# _STORE_MAX entries, the oldest evicted first; they are kept apart so that
+# border churn never evicts certificates. The lock is for library callers
+# that certify from several threads.
 _CERT_CACHE: dict = {}
 _DIAG_MAX: dict = {}
 _BORDERS: dict = {}
@@ -585,10 +586,11 @@ def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
 def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
                      tol_psd: float = 1e-9,
                      _depth: int = 0) -> CapacityCertificate:
-    """Certificate for the quantum capacity of ``tm``. Certificates and the
-    diagonal maxima they use are remembered in the process's stores, so
+    """Certificate for the quantum capacity of ``tm``; it depends only on
+    Gamma and the tolerances, not on the order of calls. Certificates and
+    the diagonal maxima they use are stored under the exact Gamma, so
     repeated and overlapping calls reuse earlier work."""
-    key = (tm.key(), round(tol_border, 15), tol_psd, _depth >= _MAX_DEPTH)
+    key = (tm.gamma.tobytes(), tol_border, tol_psd, _depth >= _MAX_DEPTH)
     return _stored(_CERT_CACHE, key,
                    lambda: _certify(tm, tol_border, tol_psd, _depth))
 
@@ -653,14 +655,14 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
     border along one decay entry, with a monotone connecting path."""
     for (j, i) in sorted(tm.decays):
         gji = float(tm.gamma[j, i])
-        gjj = float(tm.gamma[j, j])
-        if gji <= 1e-12 or gjj <= 1e-12:
+        if gji <= 1e-12 or tm.gamma[j, j] <= 1e-12:
             continue
-        if not _degradable_at(tm, j, i, [0.0], tol_psd)[0]:
+        g0 = _decay_stack(tm, j, i, [0.0])
+        if not degradable_or_boundary(g0, tol_psd)[0]:
             continue
-        # The complete-damping end does not depend on the border, so an axis
-        # whose end has no exact value is dropped before the border search.
-        tm_hi = tm.with_decay(j, i, gji + gjj)
+        # the complete-damping end, at the line's top where _line_border's
+        # search ends, needs no border: drop an axis whose end is not exact
+        tm_hi = tm.with_decay(j, i, float(g0[0, j, j]))
         sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1)
         if not sub.exact or sub.value is None:
             continue

@@ -81,9 +81,6 @@ class TransitionMatrix:
             decays[(j, i)] = p
         return TransitionMatrix(self.dim, decays)
 
-    def key(self) -> bytes:
-        return np.round(self.gamma, 12).tobytes()
-
     def __repr__(self) -> str:
         return f"TransitionMatrix(dim={self.dim}, decays={self.decays})"
 

@@ -80,8 +80,10 @@ def cmd_analyze(args) -> int:
     }
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            _atomic_write(args.out, text + "\n")
+        except OSError as exc:
+            return _fail(str(exc), 1)
     else:
         print(text)
     return 0
@@ -236,9 +238,13 @@ def cmd_sweep(args) -> int:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".madcap-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -258,7 +264,10 @@ def cmd_mad3(args) -> int:
                 str(step["n"]), _fmt(kc["k"]), _fmt(kc["analytic_bound"]),
                 str(kc["mismatches"])]))
     if args.out:
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        try:
+            _atomic_write(args.out, "\n".join(lines) + "\n")
+        except OSError as exc:
+            return _fail(str(exc), 1)
     summary = {
         "gamma10": report["gamma10"],
         "certificate_value": report["certificate_value"],
@@ -303,16 +312,36 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _bounded(kind, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` at least ``low`` (above it if
+    ``strict``), so that a bad value exits 2 like other malformed input."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if (value is None or not math.isfinite(value) or value < low
+                or (strict and value == low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} {'>' if strict else '>='} "
+                f"{low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="madcap",
         description="Multi-level amplitude damping channel toolkit")
-    parser.add_argument("--tol-psd", type=float, default=1e-9,
+    parser.add_argument("--tol-psd", type=_bounded(float, 0.0), default=1e-9,
                         help="relative PSD tolerance for Choi tests")
-    parser.add_argument("--tol-border", type=float, default=1e-6,
+    parser.add_argument("--tol-border", type=_bounded(float, 0.0),
+                        default=1e-6,
                         help="capacity-equality tolerance at region borders")
-    parser.add_argument("--grid-step", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--grid-step", type=_bounded(float, 0.0, strict=True),
+                        default=0.05)
+    parser.add_argument("--seed", type=_bounded(int, 0), default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify and certify one channel")
@@ -327,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mad3", help="3-level connecting-channel verification")
     p.add_argument("--gamma10", type=float, required=True)
-    p.add_argument("--iterations", type=int, default=3)
+    p.add_argument("--iterations", type=_bounded(int, 0), default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mad3)
 

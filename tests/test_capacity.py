@@ -527,6 +527,21 @@ class TestCertifyCapacity:
         assert certify_capacity(tm, tol_psd=1e-9).kind == "LowerBound"
         assert certify_capacity(tm, tol_psd=1.0).kind == "ExactDegradable"
 
+    @pytest.mark.parametrize("neighbour_first", [False, True])
+    def test_certificates_ignore_a_neighbour_in_the_store(self, neighbour_first,
+                                                          fresh_stores):
+        # Gamma 9e-14 apart: the point is degradable, its neighbour is not
+        # (lambda_min about -1e-7), and neither may answer for the other
+        point = TransitionMatrix(3, {(1, 0): 0.5, (2, 0): 0.1})
+        neighbour = TransitionMatrix(3, {(1, 0): 0.5, (2, 0): 0.1,
+                                         (2, 1): 8.999918865715273e-14})
+        assert is_degradable(point).degradable == "yes"
+        assert is_degradable(neighbour).degradable == "no"
+        order = [neighbour, point] if neighbour_first else [point, neighbour]
+        kinds = {tm: certify_capacity(tm).kind for tm in order}
+        assert kinds[neighbour] == "LowerBound"
+        assert kinds[point] == "ExactDegradable"
+
     def test_programming_errors_in_axis_certificates_propagate(
             self, monkeypatch, fresh_stores):
         # the (2, 1) axis is not always monotone, so the sandwich asks
@@ -578,8 +593,10 @@ class TestCertifyCapacity:
         cert = certify_capacity(tm)
         assert cert.kind == "LowerBound"
         assert abs(cert.value - math.log2(4 / 3)) <= 1e-15
-        ends = [tm.with_decay(j, i, tm.gamma[j, i] + tm.gamma[j, j])
-                for j, i in [(1, 0), (2, 1)]]
+        # each end at its line's top Gamma(0)[j, j], as the sandwich builds it
+        tops = {(j, i): float(capacity._decay_stack(tm, j, i, [0.0])[0, j, j])
+                for j, i in [(1, 0), (2, 1)]}
+        ends = [tm.with_decay(j, i, top) for (j, i), top in tops.items()]
         assert [certify_capacity(e, _depth=1).exact for e in ends] == [False, True]
         calls = []
         inner = capacity._border
@@ -594,6 +611,27 @@ class TestCertifyCapacity:
         monkeypatch.setattr(capacity, "_border", counting)
         assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0) is None
         assert len(calls) == 1
+
+    def test_sandwich_end_is_a_function_of_the_line(self, monkeypatch,
+                                                    fresh_stores):
+        # points of the (2, 1) line through {(2, 0): 0.1}; gamma_21 +
+        # gamma_22 rounds to 0.8999999999999999 at some of them, 0.9 at others
+        ends = []
+        inner = capacity.certify_capacity
+
+        def recording(tm, tol_border, tol_psd, _depth):
+            # the sandwich's ends; the (2, 1) axis keeps gamma_20
+            if _depth == 1 and tm.gamma[2, 0] == 0.1:
+                ends.append(tm.gamma.tobytes())
+            return inner(tm, tol_border, tol_psd, _depth)
+
+        monkeypatch.setattr(capacity, "certify_capacity", recording)
+        for t in (0.05, 0.06, 0.2, 0.3):
+            tm = TransitionMatrix(3, {(2, 0): 0.1, (2, 1): t})
+            capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0)
+        assert len(ends) == 4
+        assert set(ends) == {TransitionMatrix(3, {(2, 0): 0.1, (2, 1): 0.9})
+                             .gamma.tobytes()}
 
     def test_border_above_gamma_ji_is_not_used(self, monkeypatch,
                                                fresh_stores):

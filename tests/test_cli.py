@@ -1,12 +1,17 @@
 import csv
+import itertools
 import json
 import logging
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from madcap.cli import main
+from madcap.capacity import certify_capacity
 from madcap.channel import TransitionMatrix
+from madcap.cli import _fmt, _instantiate, _parse_sweep_spec, main
+from madcap.errors import MadcapError
 
 
 def write_channel(path, dim, decays):
@@ -70,6 +75,25 @@ def adc_sweep_spec(step=0.05):
         "slots": {"g": {"min": 0.0, "max": 1.0, "step": step}},
         "analyses": ["classify"],
     }
+
+
+# the 726 valid points of the 1/10 lattice in (g10, g20, g21)
+D3_LATTICE = {
+    "dim": 3,
+    "decays": [{"from": 1, "to": 0, "p": "g10"},
+               {"from": 2, "to": 0, "p": "g20"},
+               {"from": 2, "to": 1, "p": "g21"}],
+    "slots": {s: {"min": 0.0, "max": 1.0, "step": 0.1}
+              for s in ("g10", "g20", "g21")},
+    "analyses": ["capacity"],
+}
+D3_REFERENCE = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                / "sweep_d3_reference.csv")
+
+
+def csv_rows(path, columns):
+    with open(path, newline="") as fh:
+        return [tuple(r[c] for c in columns) for r in csv.DictReader(fh)]
 
 
 class TestSweep:
@@ -196,35 +220,44 @@ class TestSweep:
         assert len(out.read_text().strip().split("\n")) == 502
 
     def test_d3_lattice_matches_the_reference(self, tmp_path, fresh_stores):
-        # the 726 valid points of the 1/10 lattice in (g10, g20, g21);
         # min_eig is left out, it differs from the reference by rounding
-        payload = {
-            "dim": 3,
-            "decays": [{"from": 1, "to": 0, "p": "g10"},
-                       {"from": 2, "to": 0, "p": "g20"},
-                       {"from": 2, "to": 1, "p": "g21"}],
-            "slots": {s: {"min": 0.0, "max": 1.0, "step": 0.1}
-                      for s in ("g10", "g20", "g21")},
-            "analyses": ["capacity"],
-        }
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(payload))
+        spec.write_text(json.dumps(D3_LATTICE))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(spec), "--out", str(out)]) == 0
-        reference = (Path(__file__).resolve().parents[1] / "bench" / "data"
-                     / "sweep_d3_reference.csv")
         columns = ("g10", "g20", "g21", "degradable", "antidegradable",
                    "cert_kind", "cert_value")
-
-        def rows(path):
-            with open(path, newline="") as fh:
-                return [tuple(r[c] for c in columns)
-                        for r in csv.DictReader(fh)]
-
-        got, want = rows(out), rows(reference)
+        got, want = csv_rows(out, columns), csv_rows(D3_REFERENCE, columns)
         assert len(want) == 726
         assert [g for g, w in zip(got, want) if g != w] == []
         assert len(got) == len(want)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_d3_lattice_does_not_depend_on_call_order(self, order,
+                                                      fresh_stores):
+        # certificates depend on Gamma and the tolerances only, so one
+        # process certifying the lattice in another order than the sweep's
+        # gives the reference's kinds and values
+        dim, decays, names, ranges, _, _ = _parse_sweep_spec(D3_LATTICE)
+        points = []
+        for coords in itertools.product(*ranges):
+            try:
+                points.append((coords, _instantiate(dim, decays, names, coords)))
+            except MadcapError:
+                continue
+        if order == "reversed":
+            points.reverse()
+        else:
+            points = [points[k] for k in
+                      np.random.default_rng(14).permutation(len(points))]
+        got = {}
+        for coords, tm in points:
+            cert = certify_capacity(tm)
+            got[tuple(_fmt(c) for c in coords)] = (cert.kind, _fmt(cert.value))
+        want = {row[:3]: row[3:] for row in csv_rows(
+            D3_REFERENCE, ("g10", "g20", "g21", "cert_kind", "cert_value"))}
+        assert len(got) == len(want) == 726
+        assert {c: g for c, g in got.items() if g != want[c]} == {}
 
 
 class TestMad3:
@@ -250,3 +283,64 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+def command_args(tmp_path, command):
+    """Arguments of a quick run of ``command`` that takes ``--out``."""
+    if command == "analyze":
+        return ["analyze", str(write_channel(tmp_path / "ch.json", 2,
+                                             {(1, 0): 0.2}))]
+    if command == "sweep":
+        (tmp_path / "spec.json").write_text(json.dumps(adc_sweep_spec()))
+        return ["sweep", str(tmp_path / "spec.json")]
+    return ["--grid-step", "0.5", "mad3", "--gamma10", "0.2",
+            "--iterations", "0"]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "mad3"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
+        out = str(tmp_path / "missing" / "out")
+        assert main(command_args(tmp_path, command) + ["--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "mad3"])
+    def test_out_file_gets_the_mode_open_gives(self, tmp_path, command):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        out = tmp_path / "out"
+        assert main(command_args(tmp_path, command) + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == \
+            stat.S_IMODE(plain.stat().st_mode)
+
+    @pytest.mark.parametrize("args", [
+        ["--grid-step", "0", "mad3", "--gamma10", "0.2"],
+        ["--grid-step", "-0.1", "mad3", "--gamma10", "0.2"],
+        ["--grid-step", "nan", "mad3", "--gamma10", "0.2"],
+        ["--grid-step", "inf", "mad3", "--gamma10", "0.2"],
+        ["--tol-psd", "-1", "selftest"],
+        ["--tol-psd", "nan", "selftest"],
+        ["--tol-border", "-1", "selftest"],
+        ["--tol-border", "inf", "selftest"],
+        ["--tol-border", "x", "selftest"],
+        ["mad3", "--gamma10", "0.2", "--iterations", "-1"],
+        ["mad3", "--gamma10", "0.2", "--iterations", "1.5"],
+        ["--seed", "-1", "selftest"],
+    ], ids=["step-zero", "step-negative", "step-nan", "step-inf",
+            "psd-negative", "psd-nan", "border-negative", "border-inf",
+            "border-text", "iterations-negative", "iterations-float",
+            "seed-negative"])
+    def test_bad_number_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+
+    def test_zero_tolerances_are_accepted(self, tmp_path, capsys):
+        ch = write_channel(tmp_path / "ch.json", 2, {(1, 0): 0.2})
+        assert main(["--tol-psd", "0", "--tol-border", "0", "analyze",
+                     str(ch)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"]["kind"] == "ExactDegradable"

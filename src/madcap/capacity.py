@@ -11,7 +11,10 @@ The certificate cascade for a transition matrix:
      both find the degradable border t* of their line Gamma(t) =
      tm.with_decay(j, i, t), optionally with a second entry zeroed, by one
      bisection (_line_border) of [0, top], top = Gamma(0)[j, j], the
-     sandwich's complete-damping end; an axis with t* > gamma_ji is skipped
+     sandwich's complete-damping end; an axis with t* > gamma_ji is skipped.
+     The pin certifies no end whose start-grid bound (_start_grid) exceeds
+     the lower bound by more than 2 tol_border: an exact value lies within
+     tol_border of the end's capacity, which is at least that bound
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
 Stores are keyed by exact Gamma bytes: no answer depends on call order.
@@ -266,6 +269,15 @@ def _diag_values(lin, w, pts):
     return (x * np.log2(np.where(x > 0.0, x, 1.0))) @ w
 
 
+def _start_grid(g: np.ndarray):
+    """(lin, w, pts, f): _diag_rows(g), the simplex grid the maximizer
+    starts from (_grid_steps), and f at every grid point. Each f is a
+    diagonal coherent information, so max(f) bounds the capacity below."""
+    lin, w = _diag_rows(g)
+    pts = _simplex_grid(g.shape[0], _grid_steps(g.shape[0]))
+    return lin, w, pts, _diag_values(lin, w, pts)
+
+
 def _neighbour_faces(p):
     """Points on the faces next to p's, one row each: a level i outside the
     support entering along e_i - p at 1/2, 1/4, ..., 2^-_ENTER_HALVINGS,
@@ -301,9 +313,7 @@ def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]
     d = tm.dim
     if d == 1:
         return 0.0, np.ones(1)
-    lin, w = _diag_rows(tm.gamma)
-    pts = _simplex_grid(d, _grid_steps(d))
-    grid_f = _diag_values(lin, w, pts)
+    lin, w, pts, grid_f = _start_grid(tm.gamma)
     best, first = None, pts[int(np.argmax(grid_f))]
     for _ in range(_STARTS):
         k = int(np.argmax(grid_f))  # best first; ties keep grid order
@@ -691,7 +701,9 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
                       _depth: int) -> Optional[CapacityCertificate]:
     """Exact value by pinning: decrease an always-monotone entry to the last
     point that is exactly certifiable (upper bound U) and compare with the
-    independent lower bound ``lower`` (L); |U - L| <= tol pins the capacity."""
+    independent lower bound ``lower`` (L); |U - L| <= tol pins the capacity.
+    An end whose start-grid bound exceeds L + 2 tol is not certified: its
+    exact value would be at least that bound - tol, so it could not pin."""
     if lower <= 0.0:
         return None
     decays = sorted(tm.decays)
@@ -713,8 +725,10 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
             t_star = _line_border(tm, j, i, tol_psd, zeroed)
             if t_star >= gji - 1e-9:
                 continue
-            sub = certify_capacity(tm.with_decay(j, i, t_star), tol_border,
-                                   tol_psd, _depth + 1)
+            end = tm.with_decay(j, i, t_star)
+            if _start_grid(end.gamma)[3].max() > lower + 2 * tol_border:
+                continue
+            sub = certify_capacity(end, tol_border, tol_psd, _depth + 1)
             if not sub.exact or sub.value is None:
                 continue
             if abs(sub.value - lower) <= tol_border:
@@ -729,6 +743,11 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
 # ---------------------------------------------------------------------------
 # 3-level slice verification
 
+# At most this many omega points, so grid_step >= 1e-4: each point costs one
+# connecting Choi per k and step.
+_MAX_OMEGAS = 10001
+
+
 def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
                            iterations: int = 3,
                            k_grid: Optional[List[float]] = None) -> dict:
@@ -736,9 +755,16 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
     fixed gamma10: at step n the PSD region of the connecting Choi must be
     omega21 <= 1 - k/2^(n+1), extending the certified-equal-capacity region;
     the certified value is adc_capacity(gamma10), cross-checked against the
-    diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2)."""
+    diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2).
+    A grid_step whose omega grid on [0, 1] would hold more than _MAX_OMEGAS
+    points raises ConditionViolatedError."""
     if not (0.0 <= gamma10 <= 0.5):
         raise ConditionViolatedError(f"gamma10={gamma10} outside [0, 0.5]")
+    # the length of the np.arange below, before it is built
+    if not grid_step > 0.0 or math.ceil((1.0 + 1e-12) / grid_step) > _MAX_OMEGAS:
+        raise ConditionViolatedError(
+            f"grid_step={grid_step} must be > 0 and give at most "
+            f"{_MAX_OMEGAS} omega points")
     q = adc_capacity(gamma10)
     if k_grid is None:
         k_grid = [round(1.0 + 0.1 * t, 10) for t in range(10)]

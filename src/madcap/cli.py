@@ -236,19 +236,24 @@ def cmd_sweep(args) -> int:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file next to ``path``, then rename it
+    to ``path``. An OSError names ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".madcap-")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".madcap-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp makes the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

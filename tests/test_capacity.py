@@ -20,6 +20,8 @@ from madcap.errors import ConditionViolatedError
 from madcap.linalg import random_density_matrix
 from madcap.structure import is_antidegradable, is_degradable
 
+from test_structure import sparse_channel
+
 
 def h2(x):
     if x <= 0.0 or x >= 1.0:
@@ -654,6 +656,44 @@ class TestCertifyCapacity:
         assert capacity._try_monotone_pin(pin, 0.7, 1e-6, 1e-9, 0) is None
         assert (2, 0, (2, 1)) in tops
 
+    def test_pin_skips_ends_that_cannot_pin(self, monkeypatch, fresh_stores):
+        # LowerBound anchor: the start-grid bound of most pin ends lies
+        # above log2(4/3) + 2 tol_border, so they are never certified
+        calls = []
+        inner = capacity._certify
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(capacity, "_certify", counting)
+        cert = certify_capacity(ANCHORS[0])
+        assert cert.kind == "LowerBound"
+        assert abs(cert.value - math.log2(4 / 3)) <= 1e-15
+        assert len(calls) <= 10
+
+    def test_exact_values_are_not_below_the_start_grid_bound(self, rng,
+                                                              fresh_stores):
+        # what the pin's skip rests on: an exact value is at least the
+        # start-grid bound of its channel, less tol_border
+        tenths = [round(0.1 * k, 12) for k in range(11)]
+        tms = [TransitionMatrix(3, {(1, 0): tenths[a], (2, 0): tenths[b],
+                                    (2, 1): tenths[c]})
+               for a, b, c in itertools.product(range(11), repeat=3)
+               if b + c <= 10]
+        for d in (3, 4):
+            tms += [random_transition_matrix(d, rng) for _ in range(50)]
+            tms += [sparse_channel(d, rng) for _ in range(50)]
+        exact = 0
+        for tm in tms:
+            cert = certify_capacity(tm)
+            if cert.exact:
+                exact += 1
+                bound = capacity._start_grid(tm.gamma)[3].max()
+                assert cert.value >= bound - 1e-6, tm.decays
+        assert len(tms) == 926
+        assert exact > 400
+
 
 def sequential_bisection(pred, lo, hi):
     for _ in range(60):
@@ -913,3 +953,10 @@ class TestMad3Verification:
     def test_range_check(self):
         with pytest.raises(ConditionViolatedError):
             mad3_acge_verification(0.7)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), 1e-300, 1e-7,
+                                      0.99e-4])
+    def test_omega_grid_is_bounded(self, step):
+        with pytest.raises(ConditionViolatedError):
+            mad3_acge_verification(0.2, grid_step=step, iterations=0,
+                                   k_grid=[1.0])

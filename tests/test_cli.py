@@ -302,7 +302,11 @@ class TestOptions:
     def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
         out = str(tmp_path / "missing" / "out")
         assert main(command_args(tmp_path, command) + ["--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the path given, not the temporary file written next to it
+        assert repr(out) in err
+        assert ".madcap-" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "sweep", "mad3"])
     def test_out_file_gets_the_mode_open_gives(self, tmp_path, command):
@@ -337,6 +341,16 @@ class TestOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --" in captured.err
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-7"])
+    def test_grid_step_beyond_the_omega_limit_exits_2(self, capsys, step):
+        # finite and positive, so the parser takes it; mad3 refuses the
+        # omega grid before it builds it
+        assert main(["--grid-step", step, "mad3", "--gamma10", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: grid_step={float(step)} ")
+        assert "Traceback" not in captured.err
 
     def test_zero_tolerances_are_accepted(self, tmp_path, capsys):
         ch = write_channel(tmp_path / "ch.json", 2, {(1, 0): 0.2})

@@ -42,8 +42,7 @@ from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_choi,
-                        degradable_or_boundary, is_antidegradable,
-                        is_degradable)
+                        degradable_mask, is_antidegradable, is_degradable)
 
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
@@ -513,9 +512,9 @@ def _decay_stack(tm: TransitionMatrix, j: int, i: int, ts: np.ndarray,
 
 def _degradable_at(tm: TransitionMatrix, j: int, i: int, ts, tol_psd: float,
                    zeroed: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """is_degradable(...) in ("yes", "boundary") along one decay axis, for
-    every t in ``ts`` in one batch."""
-    return degradable_or_boundary(_decay_stack(tm, j, i, ts, zeroed), tol_psd)
+    """degradable_mask along one decay axis, for every t in ``ts`` in one
+    batch: is_degradable(...) == "yes", never "boundary"."""
+    return degradable_mask(_decay_stack(tm, j, i, ts, zeroed), tol_psd)
 
 
 def _line_border(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
@@ -621,12 +620,10 @@ def _certify(tm: TransitionMatrix, tol_border: float, tol_psd: float,
     zeros = [k for k in range(1, d) if tm.gamma[k, k] <= _ZERO_LEVEL_TOL]
     if not zeros:
         res = is_degradable(tm, tol_psd)
-        if res.degradable in ("yes", "boundary"):
-            val = _diag_max(tm)
-            note = "" if res.degradable == "yes" else " (boundary)"
+        if res.degradable == "yes":
             return CapacityCertificate(
-                "ExactDegradable", val,
-                [f"degrading-map Choi PSD{note}, min eig {res.min_choi_eig:.3e}",
+                "ExactDegradable", _diag_max(tm),
+                [f"degrading-map Choi PSD, min eig {res.min_choi_eig:.3e}",
                  "value = max coherent information over diagonal inputs"])
     else:
         found = _find_cd_permutation(tm, zeros)
@@ -668,7 +665,7 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         if gji <= 1e-12 or tm.gamma[j, j] <= 1e-12:
             continue
         g0 = _decay_stack(tm, j, i, [0.0])
-        if not degradable_or_boundary(g0, tol_psd)[0]:
+        if not degradable_mask(g0, tol_psd)[0]:
             continue
         # the complete-damping end, at the line's top where _line_border's
         # search ends, needs no border: drop an axis whose end is not exact
@@ -776,7 +773,7 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
         for k in k_grid:
             bound = 1.0 - k / 2.0 ** (n + 1)
             chois = [connecting_choi(g21, float(w), k) for w in omegas]
-            psds = _psd_status(np.stack(chois), 1e-9)[0] != "no"
+            psds = _psd_status(np.stack(chois), 1e-9)[0] == "yes"
             mismatches = 0
             for w, psd in zip(omegas, psds):
                 expected = (g21 <= w + 1e-12) and (w <= bound + 1e-12)

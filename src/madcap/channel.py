@@ -39,7 +39,7 @@ class TransitionMatrix:
             if not (0 <= i < j < dim):
                 raise IndexOutOfRangeError(
                     f"decay ({j}->{i}) needs 0 <= target < source < dim={dim}")
-            if p < -ROW_SUM_TOL or p > 1 + ROW_SUM_TOL:
+            if not -ROW_SUM_TOL <= p <= 1 + ROW_SUM_TOL:  # NaN too
                 raise InvalidStateError(f"decay probability {p} outside [0, 1]")
             g[j * dim + i] = 0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p)
         for j in range(dim):
@@ -94,12 +94,19 @@ class TransitionMatrix:
     def from_json(cls, text: str) -> "TransitionMatrix":
         payload = json.loads(text)
         try:
-            dim = int(payload["dim"])
-            decays = {(int(e["from"]), int(e["to"])): float(e["p"])
+            dim = _whole(payload["dim"])
+            decays = {(_whole(e["from"]), _whole(e["to"])): float(e["p"])
                       for e in payload.get("decays", [])}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStateError(f"malformed channel JSON: {exc}") from exc
         return cls(dim, decays)
+
+
+def _whole(x) -> int:
+    """int(x); ValueError if x has a fractional part."""
+    if int(x) != float(x):
+        raise ValueError(f"{x!r} is not a whole number")
+    return int(x)
 
 
 def random_transition_matrix(d: int, rng: np.random.Generator) -> TransitionMatrix:

@@ -26,6 +26,9 @@ from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
 
 _DEG_CODE = {"yes": "1", "no": "0", "boundary": "boundary", "unknown": "unknown"}
+# At most this many sweep points, counted before the grid is built; the
+# 0.2-step d = 4 atlas has 6^6 = 46 656.
+_MAX_SWEEP_POINTS = 1_000_000
 
 # Named, not __name__: run as ``python -m madcap.cli`` this module is
 # __main__, outside the "madcap" logger that main() prints to stderr.
@@ -54,11 +57,7 @@ def _fail(msg: str, code: int) -> int:
 
 
 def cmd_analyze(args) -> int:
-    payload = _load_json(args.channel)
-    try:
-        tm = TransitionMatrix.from_json(json.dumps(payload))
-    except MadcapError as exc:
-        return _fail(str(exc), 2)
+    tm = TransitionMatrix.from_json(json.dumps(_load_json(args.channel)))
     try:
         res = is_degradable(tm, args.tol_psd)
         cert = certify_capacity(tm, tol_border=args.tol_border,
@@ -105,16 +104,21 @@ def _parse_sweep_spec(payload):
             or not all(isinstance(a, str) for a in analyses)):
         raise MadcapError("malformed sweep spec: analyses must be a list of "
                           "strings")
-    slot_names = sorted(slots)
-    ranges = []
+    slot_names, spans, size = sorted(slots), [], 1.0
     for name in slot_names:
         lo, hi, step = (_spec_number(slots[name], key, f"slot {name!r}")
                         for key in ("min", "max", "step"))
         if step <= 0.0:
             raise MadcapError(f"malformed sweep spec: slot {name!r} needs "
                               f"step > 0, got {step}")
-        vals = np.arange(lo, hi + 1e-12, step)
-        ranges.append([round(float(v), 12) for v in vals])
+        # np.arange's length, in floats so that it cannot overflow
+        count = max(0.0, float(np.ceil((hi + 1e-12 - lo) / step)))
+        size *= count
+        if max(count, size) > _MAX_SWEEP_POINTS:
+            raise MadcapError(f"malformed sweep spec: more than "
+                              f"{_MAX_SWEEP_POINTS} grid points")
+        spans.append((lo, hi + 1e-12, step))
+    ranges = [[round(float(v), 12) for v in np.arange(*s)] for s in spans]
     for entry in decays:
         _spec_number(entry, "from", "decay")
         _spec_number(entry, "to", "decay")
@@ -202,11 +206,8 @@ def _sweep_point(task):
 
 
 def cmd_sweep(args) -> int:
-    payload = _load_json(args.spec)
-    try:
-        dim, decays, slot_names, ranges, analyses, mono = _parse_sweep_spec(payload)
-    except MadcapError as exc:
-        return _fail(str(exc), 2)
+    dim, decays, slot_names, ranges, analyses, mono = _parse_sweep_spec(
+        _load_json(args.spec))
     grid = list(itertools.product(*ranges))
     tasks = [(dim, decays, slot_names, coords, analyses, mono,
               args.tol_psd, args.tol_border) for coords in grid]
@@ -258,8 +259,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_mad3(args) -> int:
-    if not (0.0 <= args.gamma10 <= 0.5):
-        return _fail(f"gamma10={args.gamma10} outside [0, 0.5]", 2)
     report = mad3_acge_verification(args.gamma10, grid_step=args.grid_step,
                                     iterations=args.iterations)
     lines = ["n,k,analytic_bound,mismatches"]
@@ -340,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="madcap",
         description="Multi-level amplitude damping channel toolkit")
     parser.add_argument("--tol-psd", type=_bounded(float, 0.0), default=1e-9,
-                        help="relative PSD tolerance for Choi tests")
+                        help="relative PSD tolerance of every Choi test, "
+                        "floored at 1e-12")
     parser.add_argument("--tol-border", type=_bounded(float, 0.0),
                         default=1e-6,
                         help="capacity-equality tolerance at region borders")
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="grid sweep from a sweep-spec JSON")
+    p = sub.add_parser("sweep", help="grid sweep from a sweep-spec JSON, "
+                       f"at most {_MAX_SWEEP_POINTS} points")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

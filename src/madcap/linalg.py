@@ -21,6 +21,13 @@ HERMITICITY_RTOL = 1e-10
 EIG_FLOOR = 1e-12
 
 
+def psd_rule(lo, scale, tol: float):
+    """The one PSD rule: lambda_min >= -max(tol, EIG_FLOOR)·scale, scale =
+    max(1, max |entry|), elementwise (False where lo is nan). The floor keeps
+    exact zero eigenvalues that rounding pushed below 0 PSD at tol = 0."""
+    return lo >= -max(tol, EIG_FLOOR) * scale
+
+
 def _norm_inf(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
@@ -166,14 +173,14 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff min eigenvalue >= -tol * max(1, ||m||_inf).
+    """psd_rule on m's minimum eigenvalue and scale max(1, ||m||_inf).
 
     The minimum eigenvalue comes from ``min_eigenvalues``: eigen-solves on
     the sectors (connected blocks) of m's nonzero pattern and sign checks on
     its decoupled diagonal entries, in real arithmetic when m is real.
     """
     m, norm = _hermitian_norm(m, HERMITICITY_RTOL)
-    return bool(min_eigenvalues(m) >= -tol * max(1.0, norm))
+    return bool(psd_rule(min_eigenvalues(m), max(1.0, norm), tol))
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:

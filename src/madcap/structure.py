@@ -11,7 +11,10 @@ kernels' nonzero patterns, reads its decoupled diagonal entries and its
 sector blocks (one block of each size 2..d) straight out of the
 superoperator; the smallest eigenvalue is the least diagonal entry or block
 eigenvalue, with one stacked eigen-solve per block size. degrading_chois
-keeps the dense Choi.
+keeps the dense Choi. Every Choi test here, the border search's boolean
+degradable_mask included, decides PSD by linalg.psd_rule; a lambda_min that
+misses it by at most BOUNDARY_BAND·scale is labelled "boundary", which is
+reported and never counted as PSD.
 Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
@@ -31,10 +34,10 @@ from .complementary import (_complementary_tables, complementary_superops,
 from .errors import (ConditionViolatedError, NotComparableError,
                      SingularInverseError)
 from .inverse import inverse_superops, mad_inverse
-from .linalg import _sector_blocks
+from .linalg import _sector_blocks, psd_rule
 from .maps import LinearMap
 
-BOUNDARY_BAND = 1e-7  # relative |min eig| band reported as "boundary"
+BOUNDARY_BAND = 1e-7  # relative |min eig| band labelled "boundary"
 
 
 @dataclass
@@ -72,31 +75,17 @@ def degrading_map(tm: TransitionMatrix) -> LinearMap:
     return LinearMap(_degrading_superops(tm.gamma[None])[0])
 
 
-def _psd_levels(tol: float) -> tuple[float, float, float]:
-    """Relative thresholds (strict, band, loose) of a PSD verdict, in units
-    of scale = max(1, max |entry|): lambda_min >= -strict·scale is "yes",
-    above -band·scale "boundary", above -loose·scale "yes" again, and "no"
-    below.
-
-    Rank-deficient CP maps have exact zero Choi eigenvalues, so values down
-    to numerical noise still mean "yes"; only slightly negative values inside
-    the band are flagged "boundary" instead of being flipped to "no".
-    """
-    return max(1e-12, tol * 1e-3), BOUNDARY_BAND, tol
-
-
 def _verdicts(lo: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
-    """PSD verdicts ("yes" | "no" | "boundary") from minimum eigenvalues and
-    scales, by the thresholds of _psd_levels."""
-    strict, band, loose = _psd_levels(tol)
-    return np.where(lo >= -strict * scale, "yes",
-                    np.where(lo >= -band * scale, "boundary",
-                             np.where(lo >= -loose * scale, "yes", "no")))
+    """PSD verdicts from minimum eigenvalues and scales: "yes" by psd_rule,
+    else "boundary" (a label, never PSD) down to -BOUNDARY_BAND·scale, else
+    "no"."""
+    return np.where(psd_rule(lo, scale, tol), "yes",
+                    np.where(lo >= -BOUNDARY_BAND * scale, "boundary", "no"))
 
 
 def _psd_status(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """PSD verdicts with a boundary band (_verdicts) for a stack
-    (..., n, n), from one stacked dense eigen-solve."""
+    """PSD verdicts (_verdicts) for a stack (..., n, n), from one stacked
+    dense eigen-solve."""
     lo = np.linalg.eigvalsh((c + c.conj().swapaxes(-1, -2)) / 2)[..., 0]
     scale = np.maximum(1.0, np.max(np.abs(c), axis=(-2, -1)))
     return _verdicts(lo, scale, tol), lo
@@ -199,15 +188,12 @@ def degradability_status(gammas: np.ndarray,
     return status, lo
 
 
-def degradable_or_boundary(gammas: np.ndarray,
-                           tol: float = 1e-9) -> np.ndarray:
-    """degradability_status(gammas, tol) in ("yes", "boundary"), as one
-    boolean per channel, without the verdict strings: a verdict of
-    _verdicts is "yes" or "boundary" exactly when lambda_min clears the
-    widest of the _psd_levels thresholds. Unknown channels (lo = nan) are
-    False."""
+def degradable_mask(gammas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """degradability_status(gammas, tol) == "yes", as one boolean per
+    channel, without the verdict strings: linalg.psd_rule on each degrading
+    Choi. Unknown channels (lo = nan) are False."""
     _, lo, scale = _degradability_spectra(gammas)
-    return lo >= -max(_psd_levels(tol)) * scale
+    return psd_rule(lo, scale, tol)
 
 
 def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:
@@ -443,7 +429,7 @@ def monotonicity_certificate(tm: TransitionMatrix, tm_bigger: TransitionMatrix,
     else:
         raise NotComparableError(f"side must be 'left' or 'right', got {side!r}")
     status, lo = _psd_status(lam.choi(), tol)
-    return MonotonicityCertificate(side, bool(status != "no"), str(status),
+    return MonotonicityCertificate(side, bool(status == "yes"), str(status),
                                    float(lo))
 
 

@@ -560,23 +560,23 @@ class TestCertifyCapacity:
     @pytest.mark.parametrize("decays, value, provenance", [
         # sandwich: the (2, 1) axis meets its complete-damping end at 1 bit
         ({(2, 1): 0.6}, 1.0,
-         "axis (2->1): degradable border at 0.500000075 (value 1.000000000) "
+         "axis (2->1): degradable border at 0.500000001 (value 1.000000000) "
          "matches the complete-damping border (value 1.000000000); "
          "path monotone"),
         # pin: lowering (2, 0) gives an exact upper bound equal to the
         # diagonal maximum
         ({(1, 0): 0.1, (2, 0): 0.6, (2, 1): 0.1}, 0.709418263473672,
-         "monotone decrease of (2->0) to 0.500000075 gives exact upper "
+         "monotone decrease of (2->0) to 0.500000001 gives exact upper "
          "bound 0.709418263; lower bound 0.709418263 matches"),
-        # the analytic border of the (2, 0) axis is 0.1; this one lies in
-        # the promoted boundary band
+        # the analytic border of the (2, 0) axis is 0.1; the search stops
+        # where lambda_min crosses -tol_psd·scale
         ({(2, 0): 0.3, (2, 1): 0.4}, 1.0,
-         "axis (2->0): degradable border at 0.100000075 (value 1.000000000) "
+         "axis (2->0): degradable border at 0.100000001 (value 1.000000000) "
          "matches the complete-damping border (value 1.000000000); "
          "path monotone"),
         # the README channel
         ({(1, 0): 0.7, (3, 2): 0.35, (3, 0): 0.35}, 1.0,
-         "monotone decrease of (1->0) to 0.500000100 gives exact upper "
+         "monotone decrease of (1->0) to 0.500000001 gives exact upper "
          "bound 1.000000000; lower bound 1.000000000 matches"),
     ])
     def test_region_extension_forms(self, decays, value, provenance,
@@ -586,6 +586,32 @@ class TestCertifyCapacity:
         assert cert.kind == "ExactByRegionExtension"
         assert abs(cert.value - value) <= 1e-12
         assert cert.provenance == [provenance]
+
+    @pytest.mark.parametrize("tol_psd, border", [(1e-12, "0.100000000"),
+                                                 (1e-6, "0.100000750")])
+    def test_tol_psd_moves_the_border(self, tol_psd, border, fresh_stores):
+        cert = certify_capacity(
+            TransitionMatrix(3, {(2, 0): 0.3, (2, 1): 0.4}), tol_psd=tol_psd)
+        assert cert.kind == "ExactByRegionExtension"
+        assert f"degradable border at {border} " in cert.provenance[0]
+
+    def test_boundary_label_is_never_promoted(self, fresh_stores):
+        # lambda_min = -1.33e-8 misses tol_psd = 1e-9 but lies in the band:
+        # reported "boundary", and not degradable for the certificate
+        tm = TransitionMatrix(3, {(1, 0): 0.5 + 1e-8, (2, 0): 0.1})
+        res = is_degradable(tm)
+        assert res.degradable == "boundary"
+        assert -1e-7 < res.min_choi_eig < -1e-9
+        cert = certify_capacity(tm)
+        assert cert.kind == "ExactByRegionExtension"
+        assert abs(cert.value - 0.7094182634736719) <= 1e-12
+
+    def test_min_eig_within_tolerance_is_degradable(self, fresh_stores):
+        tm = TransitionMatrix(3, {(1, 0): 0.5 + 1e-10, (2, 0): 0.1})
+        res = is_degradable(tm)
+        assert res.degradable == "yes"
+        assert -1e-9 < res.min_choi_eig < -1e-12
+        assert certify_capacity(tm).kind == "ExactDegradable"
 
     def test_axis_without_exact_end_skips_border_search(self, monkeypatch,
                                                        fresh_stores):

@@ -58,6 +58,28 @@ class TestTransitionMatrix:
         with pytest.raises(MadcapError):
             TransitionMatrix.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, p):
+        with pytest.raises(InvalidStateError, match="outside"):
+            TransitionMatrix(3, {(1, 0): p, (2, 0): 0.2})
+
+    @pytest.mark.parametrize("payload", [
+        {"dim": 2.7},
+        {"dim": 3, "decays": [{"from": 2.9, "to": 0.5, "p": 0.2}]},
+        {"dim": 3, "decays": [{"from": 2, "to": 0.5, "p": 0.2}]},
+        {"dim": np.inf},
+        {"dim": 3, "decays": [{"from": 1, "to": 0, "p": np.nan}]},
+    ], ids=["dim", "from", "to", "dim-inf", "p-nan"])
+    def test_json_rejects_fractional_levels_and_nan(self, payload):
+        # int() would truncate 2.7 to 2 and 2.9 to 2
+        with pytest.raises(InvalidStateError):
+            TransitionMatrix.from_json(json.dumps(payload))
+
+    def test_json_takes_whole_floats(self):
+        payload = {"dim": 3.0, "decays": [{"from": 2.0, "to": 0, "p": 0.2}]}
+        tm = TransitionMatrix.from_json(json.dumps(payload))
+        assert tm.dim == 3 and tm.decays == {(2, 0): 0.2}
+
     @staticmethod
     def loop_gamma(dim, decays):
         """Gamma entry by entry with a numpy row sum per level: the

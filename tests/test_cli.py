@@ -10,6 +10,7 @@ import pytest
 
 from madcap.capacity import certify_capacity
 from madcap.channel import TransitionMatrix
+from madcap import cli
 from madcap.cli import _fmt, _instantiate, _parse_sweep_spec, main
 from madcap.errors import MadcapError
 
@@ -66,6 +67,20 @@ class TestAnalyze:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 3, "decays": [{"from": 1, "to": 0, "p": NaN}, '
+        '{"from": 2, "to": 0, "p": 0.2}]}',
+        '{"dim": 2.7, "decays": [{"from": 1, "to": 0, "p": 0.2}]}',
+        '{"dim": 3, "decays": [{"from": 2.9, "to": 0.5, "p": 0.2}]}',
+    ], ids=["nan-p", "fractional-dim", "fractional-level"])
+    def test_nan_or_fractional_channel_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def adc_sweep_spec(step=0.05):
@@ -185,6 +200,29 @@ class TestSweep:
         out = tmp_path / "x.csv"
         assert main(["sweep", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed sweep spec")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        adc_sweep_spec(step=1e-300),
+        {**D3_LATTICE, "slots": {s: {"min": 0.0, "max": 1.0, "step": 1e-4}
+                                 for s in ("g10", "g20", "g21")}},
+    ], ids=["tiny-step", "large-product"])
+    def test_oversized_grid_exits_2_unbuilt(self, tmp_path, capsys,
+                                            monkeypatch, spec):
+        # 1e300 points in one slot, and 10001^3 over three slots: refused
+        # from the slot counts, before np.arange builds any slot
+        def build(*args, **kwargs):
+            raise AssertionError("sweep grid built")
+
+        monkeypatch.setattr(cli.np, "arange", build)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed sweep spec: more than "
+                                f"{cli._MAX_SWEEP_POINTS} grid points\n")
         assert not out.exists()
 
     def test_unused_monotonicity_block_is_not_checked(self, tmp_path):
@@ -353,8 +391,11 @@ class TestOptions:
         assert "Traceback" not in captured.err
 
     def test_zero_tolerances_are_accepted(self, tmp_path, capsys):
-        ch = write_channel(tmp_path / "ch.json", 2, {(1, 0): 0.2})
-        assert main(["--tol-psd", "0", "--tol-border", "0", "analyze",
-                     str(ch)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["certificate"]["kind"] == "ExactDegradable"
+        # gamma = 0.25 has lambda_min = -5.55e-17: PSD at --tol-psd 0 only
+        # by the 1e-12 floor of the PSD rule
+        for gamma in (0.2, 0.25):
+            ch = write_channel(tmp_path / "ch.json", 2, {(1, 0): gamma})
+            assert main(["--tol-psd", "0", "--tol-border", "0", "analyze",
+                         str(ch)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["certificate"]["kind"] == "ExactDegradable"

@@ -113,6 +113,10 @@ def test_is_psd():
     assert is_psd(np.eye(3))
     assert is_psd(np.zeros((2, 2)))
     assert not is_psd(np.diag([1.0, -0.1]))
+    # the 1e-12 rounding floor holds at tol = 0, and only the floor
+    assert is_psd(np.diag([1.0, -1e-13]), tol=0.0)
+    assert not is_psd(np.diag([1.0, -1e-11]), tol=0.0)
+    assert is_psd(np.diag([1.0, -1e-11]), tol=1e-10)
 
 
 def test_is_psd_rejects_non_hermitian_and_non_square():

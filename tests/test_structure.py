@@ -12,7 +12,7 @@ from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
                               connecting_eigenvalues, degradability_status,
-                              degradable_or_boundary, degrading_chois,
+                              degradable_mask, degrading_chois,
                               degrading_map,
                               is_antidegradable, is_degradable,
                               mad_choi_state, mad_choi_states,
@@ -207,15 +207,15 @@ class TestSectorPlan:
         for d in (1, 2, 3):
             status, lo = degradability_status(np.zeros((0, d, d)))
             assert status.shape == lo.shape == (0,)
-            assert degradable_or_boundary(np.zeros((0, d, d))).shape == (0,)
+            assert degradable_mask(np.zeros((0, d, d))).shape == (0,)
         status, lo = degradability_status(np.ones((1, 1, 1)))
         assert list(status) == ["yes"] and lo[0] == 1.0
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
     def test_verdicts_and_border_predicate_match_dense_status(self, tol):
         rng = np.random.default_rng(1206)
-        # gamma10 just above 1/2 puts lambda_min in every band, from "no"
-        # through the loose "yes" and "boundary" down to the strict "yes"
+        # gamma10 just above 1/2 puts lambda_min at -1e-4 ... -1e-13.5 (times
+        # about 4/3): "no", then "boundary" (below tol only), then "yes"
         near = np.stack([TransitionMatrix(3, {(1, 0): 0.5 + 10.0 ** -e}).gamma
                          for e in np.arange(4.0, 14.0, 0.5)])
         stacks = [d3_grid_stack(), near, np.stack(
@@ -229,12 +229,13 @@ class TestSectorPlan:
             dense, _ = structure._psd_status(degrading_chois(stack[known]),
                                              tol)
             assert np.array_equal(status[known], dense)
-            assert np.array_equal(degradable_or_boundary(stack, tol),
-                                  (status == "yes") | (status == "boundary"))
+            assert np.array_equal(degradable_mask(stack, tol),
+                                  status == "yes")
         assert {"yes", "no", "unknown"} <= set(
             degradability_status(stacks[0], tol)[0])
-        assert {"yes", "no", "boundary"} <= set(
-            degradability_status(near, tol)[0])
+        labels = set(degradability_status(near, tol)[0])
+        assert {"yes", "no"} <= labels
+        assert ("boundary" in labels) == (tol < structure.BOUNDARY_BAND)
 
 
 class TestIsDegradable:
@@ -441,6 +442,15 @@ class TestMonotonicityCertificate:
         tall = flat.with_decay(3, 2, 0.3)
         assert not monotonicity_certificate(
             tall, tall.with_decay(2, 1, 0.3), "left").cp
+
+    def test_boundary_status_is_not_cp(self):
+        # the right map misses CP by about 46·eps: "boundary" at eps = 1e-6
+        # (lambda_min -4.6e-8), within tol_psd = 1e-9 at eps = 1e-9
+        tm = TransitionMatrix(3, {(1, 0): 0.2, (2, 0): 0.1})
+        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-6), "right")
+        assert (cert.status, cert.cp) == ("boundary", False)
+        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-9), "right")
+        assert (cert.status, cert.cp) == ("yes", True)
 
     def test_soundness_on_degradable_pair(self):
         from madcap.capacity import max_diagonal_coherent_info

@@ -8,10 +8,10 @@ The certificate cascade for a transition matrix:
   4. region extension along a single decay entry, either sandwiched between
      a degradable border and a complete-damping border with equal values, or
      pinned between a monotone upper bound and an independent lower bound;
-     both find the degradable border t* of their line Gamma(t) =
-     tm.with_decay(j, i, t), optionally with a second entry zeroed, by one
-     bisection (_line_border) of [0, top], top = Gamma(0)[j, j], the
-     sandwich's complete-damping end; an axis with t* > gamma_ji is skipped.
+     both read the record (_line) of their line Gamma(t) = tm.with_decay(j,
+     i, t), optionally with a second entry zeroed: its top Gamma(0)[j, j],
+     the sandwich's complete-damping end, its bottom Gamma(0)'s verdict and
+     its border t*; an axis with t* > gamma_ji is skipped.
      The pin certifies no end whose start-grid bound (_start_grid) exceeds
      the lower bound by more than 2 tol_border: an exact value lies within
      tol_border of the end's capacity, which is at least that bound
@@ -30,8 +30,8 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_choi,
-                        degradable_mask, is_antidegradable, is_degradable)
+                        degradable_mask, is_antidegradable, is_degradable,
+                        monotonicity_certificate)
 
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
@@ -437,15 +438,15 @@ class CapacityCertificate:
 
 # The process's stores, keyed by exact Gamma bytes, so a stored answer is one
 # for that very Gamma and the order of calls never matters: certificates by
-# (Gamma, tolerances, depth cap), diagonal maxima by Gamma, and the border t*
-# of each searched line (_line_border) by its Gamma(0). One madcap command is
+# (Gamma, tolerances, depth cap), diagonal maxima by Gamma, and line records
+# (_line) by Gamma(0) and tol_psd, t* also by axis. One madcap command is
 # one process, so these maps are the store of one sweep. Each holds at most
 # _STORE_MAX entries, the oldest evicted first; they are kept apart so that
-# border churn never evicts certificates. The lock is for library callers
+# line churn never evicts certificates. The lock is for library callers
 # that certify from several threads.
 _CERT_CACHE: dict = {}
 _DIAG_MAX: dict = {}
-_BORDERS: dict = {}
+_LINES: dict = {}
 _STORE_MAX = 8192
 _CERT_LOCK = threading.Lock()
 
@@ -510,27 +511,24 @@ def _decay_stack(tm: TransitionMatrix, j: int, i: int, ts: np.ndarray,
     return g
 
 
-def _degradable_at(tm: TransitionMatrix, j: int, i: int, ts, tol_psd: float,
-                   zeroed: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """degradable_mask along one decay axis, for every t in ``ts`` in one
-    batch: is_degradable(...) == "yes", never "boundary"."""
-    return degradable_mask(_decay_stack(tm, j, i, ts, zeroed), tol_psd)
-
-
-def _line_border(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
-                 zeroed: Optional[Tuple[int, int]] = None) -> float:
-    """The degradable border t* of the line Gamma(t) of
-    _degradable_at(tm, j, i, ., tol_psd, zeroed), searched on the line's
-    whole domain [0, top], top = Gamma(0)[j, j], where level j decays
-    completely. Gamma(0) fixes Gamma(t) for every t (same off-diagonals, t
-    at (j, i), diagonals recomputed), so t* is a function of the line alone,
-    whichever point and caller the search starts from, and is remembered in
-    _BORDERS under it. The caller has checked that Gamma(0) is degradable;
-    t* may lie above gamma_ji."""
-    g0 = _decay_stack(tm, j, i, [0.0], zeroed)[0]
-    return _stored(_BORDERS, (g0.tobytes(), j, i, tol_psd), lambda: _border(
-        lambda ts: _degradable_at(tm, j, i, ts, tol_psd, zeroed),
-        0.0, float(g0[j, j])))
+def _line(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
+          zeroed: Optional[Tuple[int, int]] = None
+          ) -> Tuple[float, bool, Callable[[], float]]:
+    """(top, bottom_ok, border) of the line Gamma(t) = _decay_stack(tm, j, i,
+    [t], zeroed): top = Gamma(0)[j, j], where level j decays completely;
+    bottom_ok, degradable_mask at Gamma(0); and border(), the degradable
+    border t* on [0, top] (_border) of a line with bottom_ok, which may lie
+    above gamma_ji. Gamma(0) fixes Gamma(t) for every t (same off-diagonals,
+    t at (j, i), diagonals recomputed), so the record is the line's alone,
+    whichever point and caller ask, and is remembered in _LINES."""
+    g0 = _decay_stack(tm, j, i, [0.0], zeroed)
+    key, top = g0.tobytes(), float(g0[0, j, j])
+    bottom_ok = _stored(_LINES, (key, tol_psd),
+                        lambda: bool(degradable_mask(g0, tol_psd)[0]))
+    border = partial(_stored, _LINES, (key, j, i, tol_psd), lambda: _border(
+        lambda ts: degradable_mask(_decay_stack(tm, j, i, ts, zeroed),
+                                   tol_psd), 0.0, top))
+    return top, bottom_ok, border
 
 
 def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
@@ -581,8 +579,6 @@ def _monotone_axis(tm: TransitionMatrix, j: int, i: int) -> bool:
 def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
                   tol_psd: float) -> bool:
     """CP check of a connecting map for one increased entry, either side."""
-    # looked up at call time, so that tests can replace it in structure
-    from .structure import monotonicity_certificate
     for side in ("right", "left"):
         try:
             if monotonicity_certificate(tm_lo, tm_hi, side, tol_psd).cp:
@@ -664,17 +660,17 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         gji = float(tm.gamma[j, i])
         if gji <= 1e-12 or tm.gamma[j, j] <= 1e-12:
             continue
-        g0 = _decay_stack(tm, j, i, [0.0])
-        if not degradable_mask(g0, tol_psd)[0]:
+        top, bottom_ok, border = _line(tm, j, i, tol_psd)
+        if not bottom_ok:
             continue
-        # the complete-damping end, at the line's top where _line_border's
+        # the complete-damping end, at the line's top where the border
         # search ends, needs no border: drop an axis whose end is not exact
-        tm_hi = tm.with_decay(j, i, float(g0[0, j, j]))
+        tm_hi = tm.with_decay(j, i, top)
         sub = certify_capacity(tm_hi, tol_border, tol_psd, _depth + 1)
-        if not sub.exact or sub.value is None:
+        if not sub.exact:
             continue
         # a border above gamma_ji would run the monotone path backwards
-        t_border = _line_border(tm, j, i, tol_psd)
+        t_border = border()
         if t_border > gji:
             continue
         tm_lo = tm.with_decay(j, i, t_border)
@@ -713,20 +709,20 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
         for zeroed in decays:
             if zeroed == (j, i):
                 continue
-            at_top, at_zero = _degradable_at(tm, j, i, [gji, 0.0], tol_psd,
-                                             zeroed)
-            if at_top or not at_zero:
+            _, bottom_ok, border = _line(tm, j, i, tol_psd, zeroed)
+            # tm with ``zeroed`` at 0 is the bottom of the line along it
+            if not bottom_ok or _line(tm, *zeroed, tol_psd)[1]:
                 continue
             # checked first: above gamma_ji the kept entry of ``zeroed`` can
             # push the row sum of tm.with_decay(j, i, t*) past 1
-            t_star = _line_border(tm, j, i, tol_psd, zeroed)
+            t_star = border()
             if t_star >= gji - 1e-9:
                 continue
             end = tm.with_decay(j, i, t_star)
             if _start_grid(end.gamma)[3].max() > lower + 2 * tol_border:
                 continue
             sub = certify_capacity(end, tol_border, tol_psd, _depth + 1)
-            if not sub.exact or sub.value is None:
+            if not sub.exact:
                 continue
             if abs(sub.value - lower) <= tol_border:
                 return CapacityCertificate(

@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
 Sweeps certify one grid point after another in lexicographic grid order.
 One command is one process, and the certificates, diagonal maxima and
-line borders that the capacity module remembers for the process are what
-later points of a sweep reuse. Diagnostics (sweep progress,
-conditioning warnings) are log records of the ``madcap`` loggers; while a
-command runs they are printed to stderr.
+decay-line records that the capacity module remembers for the process are
+what later points of a sweep reuse. A fractional level in a sweep spec is
+malformed input. Diagnostics (sweep progress, conditioning warnings) are
+log records of the ``madcap`` loggers, printed to stderr while a command runs.
 """
 import argparse
 import itertools
@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .capacity import adc_capacity, certify_capacity, mad3_acge_verification
-from .channel import TransitionMatrix
+from .channel import TransitionMatrix, _whole
 from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
 
@@ -89,8 +89,10 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_sweep_spec(payload):
+    """(dim, decays, slot names, ranges, analyses, monotonicity), each decay
+    as (from, to, p), p a float or a slot name; MadcapError if malformed."""
+    dim = _spec_number(payload, "dim", "sweep", whole=True)
     try:
-        dim = int(payload["dim"])
         slots = payload.get("slots", {})
         decays = payload["decays"]
         analyses = payload.get("analyses", ["classify"])
@@ -119,36 +121,42 @@ def _parse_sweep_spec(payload):
                               f"{_MAX_SWEEP_POINTS} grid points")
         spans.append((lo, hi + 1e-12, step))
     ranges = [[round(float(v), 12) for v in np.arange(*s)] for s in spans]
+    levels = []
     for entry in decays:
-        _spec_number(entry, "from", "decay")
-        _spec_number(entry, "to", "decay")
+        j, i = (_spec_number(entry, key, "decay", whole=True)
+                for key in ("from", "to"))
         p = entry.get("p")
         if not isinstance(p, str):
-            _spec_number(entry, "p", "decay")
+            p = _spec_number(entry, "p", "decay")
         elif p not in slots:
             raise MadcapError(f"malformed sweep spec: decay p {p!r} names "
                               f"no slot")
+        levels.append((j, i, p))
     if "monotonicity" in analyses and mono:
         if not isinstance(mono, dict):
             raise MadcapError("malformed sweep spec: monotonicity must be an "
                               "object")
-        keys = ("from", "to", "epsilon") if "epsilon" in mono else ("from", "to")
-        for key in keys:
-            _spec_number(mono, key, "monotonicity")
-        j, i = int(mono["from"]), int(mono["to"])
+        if "epsilon" in mono:
+            _spec_number(mono, "epsilon", "monotonicity")
+        j, i = (_spec_number(mono, key, "monotonicity", whole=True)
+                for key in ("from", "to"))
         if not 0 <= i < j < dim:
             raise MadcapError(f"malformed sweep spec: monotonicity needs "
                               f"0 <= to < from < dim, got from {j}, to {i}")
-    return dim, decays, slot_names, ranges, analyses, mono
+        mono = {**mono, "from": j, "to": i}
+    return dim, levels, slot_names, ranges, analyses, mono
 
 
-def _spec_number(item, key: str, what: str) -> float:
-    """item[key] as a finite float, or MadcapError naming ``what``."""
+def _spec_number(item, key: str, what: str, whole: bool = False):
+    """item[key] as a finite float, or as an int if ``whole`` (a fractional
+    level is malformed, never truncated), or MadcapError naming ``what``."""
     try:
         value = float(item[key])
+        if whole and math.isfinite(value):
+            value = _whole(value)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MadcapError(f"malformed sweep spec: {what} needs a numeric "
-                          f"{key!r}") from exc
+        raise MadcapError(f"malformed sweep spec: {what} needs a "
+                          f"{'whole' if whole else 'numeric'} {key!r}") from exc
     if not math.isfinite(value):
         raise MadcapError(f"malformed sweep spec: {what} needs a finite "
                           f"{key!r}, got {value}")
@@ -157,13 +165,8 @@ def _spec_number(item, key: str, what: str) -> float:
 
 def _instantiate(dim, decays, slot_names, coords):
     env = dict(zip(slot_names, coords))
-    d = {}
-    for entry in decays:
-        p = entry["p"]
-        if isinstance(p, str):
-            p = env[p]
-        d[(int(entry["from"]), int(entry["to"]))] = float(p)
-    return TransitionMatrix(dim, d)
+    return TransitionMatrix(dim, {(j, i): env[p] if isinstance(p, str) else p
+                                  for j, i, p in decays})
 
 
 def _sweep_point(task):

@@ -9,12 +9,12 @@ def rng():
 
 @pytest.fixture
 def fresh_stores(monkeypatch):
-    """Empty certificate, diagonal-maximum and border stores for the test.
+    """Empty certificate, diagonal-maximum and line stores for the test.
     Returns a function that swaps in empty stores again."""
     from madcap import capacity
 
     def empty():
-        for name in ("_CERT_CACHE", "_DIAG_MAX", "_BORDERS"):
+        for name in ("_CERT_CACHE", "_DIAG_MAX", "_LINES"):
             monkeypatch.setattr(capacity, name, {})
 
     empty()

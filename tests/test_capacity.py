@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from madcap.capacity import (CapacityCertificate, adc_capacity,
                              max_diagonal_coherent_info,
                              reduce_complete_damping,
                              verify_cd_decomposition)
+from madcap.cli import _instantiate, _parse_sweep_spec
 from madcap.channel import (TransitionMatrix, permute_levels,
                             random_transition_matrix, single_decay_matrix)
 from madcap.errors import ConditionViolatedError
@@ -21,6 +24,8 @@ from madcap.linalg import random_density_matrix
 from madcap.structure import is_antidegradable, is_degradable
 
 from test_structure import sparse_channel
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def h2(x):
@@ -553,7 +558,7 @@ class TestCertifyCapacity:
         def broken(*args, **kwargs):
             raise TypeError("injected")
 
-        monkeypatch.setattr(structure, "monotonicity_certificate", broken)
+        monkeypatch.setattr(capacity, "monotonicity_certificate", broken)
         with pytest.raises(TypeError, match="injected"):
             certify_capacity(tm)
 
@@ -622,7 +627,7 @@ class TestCertifyCapacity:
         assert cert.kind == "LowerBound"
         assert abs(cert.value - math.log2(4 / 3)) <= 1e-15
         # each end at its line's top Gamma(0)[j, j], as the sandwich builds it
-        tops = {(j, i): float(capacity._decay_stack(tm, j, i, [0.0])[0, j, j])
+        tops = {(j, i): capacity._line(tm, j, i, 1e-9)[0]
                 for j, i in [(1, 0), (2, 1)]}
         ends = [tm.with_decay(j, i, top) for (j, i), top in tops.items()]
         assert [certify_capacity(e, _depth=1).exact for e in ends] == [False, True]
@@ -633,9 +638,9 @@ class TestCertifyCapacity:
             calls.append(args)
             return inner(*args)
 
-        # the ends are cached now and the border store is emptied, so only
+        # the ends are cached now and the line store is emptied, so only
         # the axis loop itself can bisect
-        monkeypatch.setattr(capacity, "_BORDERS", {})
+        monkeypatch.setattr(capacity, "_LINES", {})
         monkeypatch.setattr(capacity, "_border", counting)
         assert capacity._try_axis_sandwich(tm, 1e-6, 1e-9, 0) is None
         assert len(calls) == 1
@@ -665,13 +670,18 @@ class TestCertifyCapacity:
                                                fresh_stores):
         # every border at its line's top, where level j decays completely
         tops = []
+        inner = capacity._line
 
         def top_border(tm, j, i, tol_psd, zeroed=None):
-            tops.append((j, i, zeroed))
-            g0 = capacity._decay_stack(tm, j, i, [0.0], zeroed)[0]
-            return float(g0[j, j])
+            top, bottom_ok, _ = inner(tm, j, i, tol_psd, zeroed)
 
-        monkeypatch.setattr(capacity, "_line_border", top_border)
+            def border():
+                tops.append((j, i, zeroed))
+                return top
+
+            return top, bottom_ok, border
+
+        monkeypatch.setattr(capacity, "_line", top_border)
         # the sandwich's only axis would otherwise run backwards to 1 bit
         sandwich = TransitionMatrix(3, {(2, 1): 0.6})
         assert capacity._try_axis_sandwich(sandwich, 1e-6, 1e-9, 0) is None
@@ -702,11 +712,7 @@ class TestCertifyCapacity:
                                                               fresh_stores):
         # what the pin's skip rests on: an exact value is at least the
         # start-grid bound of its channel, less tol_border
-        tenths = [round(0.1 * k, 12) for k in range(11)]
-        tms = [TransitionMatrix(3, {(1, 0): tenths[a], (2, 0): tenths[b],
-                                    (2, 1): tenths[c]})
-               for a, b, c in itertools.product(range(11), repeat=3)
-               if b + c <= 10]
+        tms = d3_lattice()
         for d in (3, 4):
             tms += [random_transition_matrix(d, rng) for _ in range(50)]
             tms += [sparse_channel(d, rng) for _ in range(50)]
@@ -719,6 +725,37 @@ class TestCertifyCapacity:
                 assert cert.value >= bound - 1e-6, tm.decays
         assert len(tms) == 926
         assert exact > 400
+
+    def test_atlas_subset_matches_the_reference(self, fresh_stores):
+        # a seeded 300-point subset of the 0.2-step d = 4 atlas, with kind,
+        # repr(value) and provenance as tests/data/make_atlas_reference.py
+        # recorded them; it holds both region-extension forms
+        ref = json.loads((DATA / "atlas_d4_reference.json").read_text())
+        spec = json.loads((DATA / ref["spec"]).read_text())
+        dim, decays, names, _, _, _ = _parse_sweep_spec(spec)
+        firsts = [row["provenance"][0] for row in ref["points"]
+                  if row["kind"] == "ExactByRegionExtension"]
+        assert len(ref["points"]) == 300
+        assert sum(f.startswith("monotone decrease") for f in firsts) >= 4
+        assert sum(f.startswith("axis") for f in firsts) >= 10
+        mismatches = []
+        for row in ref["points"]:
+            cert = certify_capacity(_instantiate(dim, decays, names,
+                                                 row["coords"]))
+            got = (cert.kind, repr(cert.value), cert.provenance)
+            if got != (row["kind"], row["value"], row["provenance"]):
+                mismatches.append((row["coords"], got))
+        assert mismatches == []
+
+
+def d3_lattice():
+    """The 726 channels of the 1/10 lattice in (g10, g20, g21), in the
+    sweep's grid order."""
+    tenths = [round(0.1 * k, 12) for k in range(11)]
+    return [TransitionMatrix(3, {(1, 0): tenths[a], (2, 0): tenths[b],
+                                 (2, 1): tenths[c]})
+            for a, b, c in itertools.product(range(11), repeat=3)
+            if b + c <= 10]
 
 
 def sequential_bisection(pred, lo, hi):
@@ -775,8 +812,10 @@ class TestBorderSearch:
 
     def test_sandwich_and_pin_share_a_key_for_one_predicate(
             self, monkeypatch):
-        # one stored border per line Gamma(t) and PSD tolerance
-        monkeypatch.setattr(capacity, "_BORDERS", {})
+        # one stored bottom verdict and one border per line Gamma(t) and PSD
+        # tolerance: the verdict is keyed (Gamma(0), tol_psd), the border
+        # (Gamma(0), j, i, tol_psd)
+        monkeypatch.setattr(capacity, "_LINES", {})
         tm = TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3})
         searches = [(tm, 2, 1, 1e-9), (tm, 2, 1, 1e-9, (2, 0)),
                     (tm, 2, 1, 1e-9, (1, 0)),
@@ -784,27 +823,32 @@ class TestBorderSearch:
                     (tm, 2, 1, 1e-8)]
         stored = []
         for args in searches:
-            capacity._line_border(*args)
-            stored.append(len(capacity._BORDERS))
-        assert stored == [1, 1, 2, 2, 3]
+            _, bottom_ok, border = capacity._line(*args)
+            assert bottom_ok
+            border()
+            sizes = [len(k) for k in capacity._LINES]
+            stored.append((sizes.count(2), sizes.count(4)))
+        assert stored == [(1, 1), (1, 1), (2, 2), (2, 2), (3, 3)]
 
     def test_line_border_depends_on_the_line_only(self, rng, monkeypatch):
         calls = []
-        inner = capacity._degradable_at
 
         def counting(*args):
             calls.append(args)
-            return inner(*args)
+            return structure.degradable_mask(*args)
 
-        monkeypatch.setattr(capacity, "_degradable_at", counting)
+        def pred(tm, j, i, t, zeroed):
+            stack = capacity._decay_stack(tm, j, i, [t], zeroed)
+            return bool(structure.degradable_mask(stack, 1e-9)[0])
+
+        monkeypatch.setattr(capacity, "degradable_mask", counting)
         lines = 0
         for d in (3, 4):
             for _ in range(10):
                 tm = random_transition_matrix(d, rng)
                 for (j, i), zeroed in itertools.product(sorted(tm.decays),
                                                         [None, (d - 1, 0)]):
-                    if (j, i) == zeroed or not inner(tm, j, i, [0.0], 1e-9,
-                                                     zeroed)[0]:
+                    if (j, i) == zeroed or not pred(tm, j, i, 0.0, zeroed):
                         continue
                     lines += 1
                     # points on the line: t = 0, the channel itself and
@@ -812,21 +856,22 @@ class TestBorderSearch:
                     room = float(tm.gamma[j, i] + tm.gamma[j, j])
                     ts = np.r_[0.0, tm.gamma[j, i], rng.uniform(0, room, 3)]
                     points = [tm.with_decay(j, i, float(t)) for t in ts]
+                    top = float(capacity._decay_stack(tm, j, i, [0.0],
+                                                      zeroed)[0, j, j])
                     got = []
                     for point in points:
-                        monkeypatch.setattr(capacity, "_BORDERS", {})
-                        got.append(capacity._line_border(point, j, i, 1e-9,
-                                                         zeroed))
-                    g0 = capacity._decay_stack(tm, j, i, [0.0], zeroed)[0]
+                        monkeypatch.setattr(capacity, "_LINES", {})
+                        record = capacity._line(point, j, i, 1e-9, zeroed)
+                        got.append((record[0], record[1], record[2]()))
                     want = sequential_bisection(
-                        lambda t: bool(inner(tm, j, i, [t], 1e-9, zeroed)[0]),
-                        0.0, float(g0[j, j]))
-                    assert got == [want] * len(points)
-                    # a warm repeat from any point makes no predicate call
+                        lambda t: pred(tm, j, i, t, zeroed), 0.0, top)
+                    assert got == [(top, True, want)] * len(points)
+                    # a warm repeat from any point makes no predicate call,
+                    # for the bottom's verdict or the border
                     calls.clear()
                     for point in points:
-                        assert capacity._line_border(point, j, i, 1e-9,
-                                                     zeroed) == want
+                        record = capacity._line(point, j, i, 1e-9, zeroed)
+                        assert record[1] and record[2]() == want
                     assert calls == []
         assert lines >= 10
 
@@ -867,6 +912,27 @@ class TestCertificateCache:
         assert certify_capacity(ANCHORS[0]).kind == "LowerBound"
         assert len(seen) == len(set(seen)) > 1
 
+    def test_lattice_pass_tests_each_single_gamma_once(self, monkeypatch,
+                                                      fresh_stores):
+        # each line's bottom verdict is decided once and shared by both
+        # region-extension forms: no single Gamma reaches degradable_mask
+        # twice, and border batches are the rest (2031 calls in all; 5316
+        # while each form tested its own bottoms)
+        calls, singles = [], []
+        inner = capacity.degradable_mask
+
+        def counting(gammas, tol):
+            calls.append(len(gammas))
+            if len(gammas) == 1:
+                singles.append(gammas[0].tobytes())
+            return inner(gammas, tol)
+
+        monkeypatch.setattr(capacity, "degradable_mask", counting)
+        for tm in d3_lattice():
+            certify_capacity(tm)
+        assert len(singles) == len(set(singles)) > 0
+        assert len(calls) <= 2100
+
     def test_cold_warm_and_evicting_caches_agree(self, rng, monkeypatch,
                                                  fresh_stores):
         tms = ANCHORS + [random_transition_matrix(3, rng) for _ in range(4)]
@@ -886,7 +952,7 @@ class TestCertificateCache:
             evicting.append((cert.kind, cert.value))
             assert len(capacity._CERT_CACHE) <= 3
             assert len(capacity._DIAG_MAX) <= 3
-            assert len(capacity._BORDERS) <= 3
+            assert len(capacity._LINES) <= 3
         assert evicting == cold
 
     @staticmethod
@@ -932,26 +998,26 @@ class TestCertificateCache:
 
     def test_threads_share_a_small_border_store(self, monkeypatch):
         # threshold predicates on 16 lines; with a cap of 2 nearly every
-        # search evicts another thread's border
+        # bottom verdict and search evicts another thread's record
         tms = [TransitionMatrix(3, {(2, 0): 0.05 * (k + 1), (2, 1): 0.1})
                for k in range(16)]
 
-        def threshold(tm, j, i, ts, tol_psd, zeroed=None):
-            return np.asarray(ts) <= 0.3 * tm.gamma[2, 0]
+        def threshold(gammas, tol):
+            return gammas[:, 2, 1] <= 0.3 * gammas[:, 2, 0]
 
         # each line's top is Gamma(0)[2, 2] = 1 - gamma_20
-        want = [sequential_bisection(lambda t, tm=tm: threshold(tm, 2, 1, t, 0),
+        want = [sequential_bisection(lambda t, tm=tm: t <= 0.3 * tm.gamma[2, 0],
                                      0.0, 1.0 - tm.gamma[2, 0]) for tm in tms]
-        monkeypatch.setattr(capacity, "_degradable_at", threshold)
-        monkeypatch.setattr(capacity, "_BORDERS", {})
+        monkeypatch.setattr(capacity, "degradable_mask", threshold)
+        monkeypatch.setattr(capacity, "_LINES", {})
         monkeypatch.setattr(capacity, "_STORE_MAX", 2)
 
         def item(k):
-            got = capacity._line_border(tms[k % 16], 2, 1, 1e-9)
-            assert got == want[k % 16]
+            _, bottom_ok, border = capacity._line(tms[k % 16], 2, 1, 1e-9)
+            assert bottom_ok and border() == want[k % 16]
 
         self.run_threads(item, 160)
-        assert len(capacity._BORDERS) <= 2
+        assert len(capacity._LINES) <= 2
 
 
 class TestMad3Verification:

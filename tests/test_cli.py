@@ -191,9 +191,18 @@ class TestSweep:
         {"analyses": ["monotonicity"], "monotonicity": 1},
         {"analyses": 5},
         {"analyses": ["monotonicity"], "monotonicity": {"from": 5, "to": 0}},
+        # fractional levels are malformed, not truncated to a 3-level
+        # channel's (2 -> 0) decay
+        {"dim": 3.7, "decays": [{"from": 2.9, "to": 0.5, "p": "g"}]},
+        {"dim": 2.5},
+        {"decays": [{"from": 1, "to": 0.5, "p": "g"}]},
+        {"analyses": ["monotonicity"],
+         "monotonicity": {"from": 1.5, "to": 0}},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
             "monotonicity", "monotonicity-number", "analyses-number",
-            "monotonicity-level"])
+            "monotonicity-level", "fractional-dim-and-levels",
+            "fractional-dim", "fractional-level",
+            "fractional-monotonicity-level"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))

@@ -17,7 +17,8 @@ The certificate cascade for a transition matrix:
      tol_border of the end's capacity, which is at least that bound
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
-Stores are keyed by exact Gamma bytes: no answer depends on call order.
+Stores are keyed by exact Gamma bytes (certificates also by the depth cap,
+not the depth: see certify_capacity).
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
 ascent on the simplex from the best points of a grid and the faces next to
 its result, handling the faces where a level is 0 explicitly, until the
@@ -25,7 +26,6 @@ Frank-Wolfe gap is at most 1e-12 max(1, |f|); on degradable channels the
 objective is concave, so the gap bounds the distance to the maximum.
 All capacities are in bits.
 """
-import itertools
 import json
 import math
 import threading
@@ -437,8 +437,8 @@ class CapacityCertificate:
 
 
 # The process's stores, keyed by exact Gamma bytes, so a stored answer is one
-# for that very Gamma and the order of calls never matters: certificates by
-# (Gamma, tolerances, depth cap), diagonal maxima by Gamma, and line records
+# for that very Gamma: certificates by (Gamma, tolerances, whether the depth
+# cap is reached), diagonal maxima by Gamma, and line records
 # (_line) by Gamma(0) and tol_psd, t* also by axis. One madcap command is
 # one process, so these maps are the store of one sweep. Each holds at most
 # _STORE_MAX entries, the oldest evicted first; they are kept apart so that
@@ -482,18 +482,21 @@ def _find_cd_permutation(tm: TransitionMatrix, zeros: List[int]
                          ) -> Optional[Tuple[Tuple[int, ...], TransitionMatrix]]:
     """A level relabeling that keeps all decays downward and puts one of the
     completely decaying levels ``zeros`` (not empty) on top, enabling the
-    complete-damping reduction."""
+    complete-damping reduction; None if every one of them receives a decay.
+
+    The top level must receive no decay. Moving the largest such level z to
+    the top and keeping the others in order is valid, and it is the first
+    valid relabeling in lexicographic order."""
     d = tm.dim
-    if d - 1 in zeros:
+    received = {i for _, i in tm.decays}
+    free = [k for k in zeros if k not in received]
+    if not free:
+        return None
+    z = max(free)
+    if z == d - 1:
         return tuple(range(d)), tm
-    for perm in itertools.permutations(range(d)):
-        if not any(perm[k] == d - 1 for k in zeros):
-            continue
-        try:
-            return perm, permute_levels(tm, perm)
-        except MadcapError:
-            continue
-    return None
+    perm = (*range(z), d - 1, *range(z, d - 1))
+    return perm, permute_levels(tm, perm)
 
 
 def _decay_stack(tm: TransitionMatrix, j: int, i: int, ts: np.ndarray,
@@ -591,10 +594,11 @@ def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
 def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
                      tol_psd: float = 1e-9,
                      _depth: int = 0) -> CapacityCertificate:
-    """Certificate for the quantum capacity of ``tm``; it depends only on
-    Gamma and the tolerances, not on the order of calls. Certificates and
-    the diagonal maxima they use are stored under the exact Gamma, so
-    repeated and overlapping calls reuse earlier work."""
+    """Certificate for the quantum capacity of ``tm``. Certificates are
+    stored under the exact Gamma, the tolerances and whether _MAX_DEPTH has
+    been reached, and the diagonal maxima they use under the exact Gamma, so
+    repeated and overlapping calls reuse earlier work; a stored certificate
+    may have been computed at another depth below _MAX_DEPTH."""
     key = (tm.gamma.tobytes(), tol_border, tol_psd, _depth >= _MAX_DEPTH)
     return _stored(_CERT_CACHE, key,
                    lambda: _certify(tm, tol_border, tol_psd, _depth))

@@ -26,6 +26,7 @@ from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
 
 _DEG_CODE = {"yes": "1", "no": "0", "boundary": "boundary", "unknown": "unknown"}
+_ANALYSES = ("classify", "capacity", "monotonicity")
 # At most this many sweep points, counted before the grid is built; the
 # 0.2-step d = 4 atlas has 6^6 = 46 656.
 _MAX_SWEEP_POINTS = 1_000_000
@@ -106,6 +107,13 @@ def _parse_sweep_spec(payload):
             or not all(isinstance(a, str) for a in analyses)):
         raise MadcapError("malformed sweep spec: analyses must be a list of "
                           "strings")
+    unknown = [a for a in analyses if a not in _ANALYSES]
+    if unknown:
+        raise MadcapError(f"malformed sweep spec: unknown analyses {unknown}, "
+                          f"expected some of {list(_ANALYSES)}")
+    if "capacity" in analyses and "monotonicity" in analyses:
+        raise MadcapError("malformed sweep spec: capacity and monotonicity "
+                          "both fill cert_kind and cert_value; ask for one")
     slot_names, spans, size = sorted(slots), [], 1.0
     for name in slot_names:
         lo, hi, step = (_spec_number(slots[name], key, f"slot {name!r}")
@@ -132,10 +140,10 @@ def _parse_sweep_spec(payload):
             raise MadcapError(f"malformed sweep spec: decay p {p!r} names "
                               f"no slot")
         levels.append((j, i, p))
-    if "monotonicity" in analyses and mono:
-        if not isinstance(mono, dict):
-            raise MadcapError("malformed sweep spec: monotonicity must be an "
-                              "object")
+    if "monotonicity" in analyses:
+        if not isinstance(mono, dict) or not mono:
+            raise MadcapError("malformed sweep spec: the monotonicity analysis "
+                              "needs a non-empty monotonicity object")
         if "epsilon" in mono:
             _spec_number(mono, "epsilon", "monotonicity")
         j, i = (_spec_number(mono, key, "monotonicity", whole=True)
@@ -174,7 +182,7 @@ def _sweep_point(task):
     try:
         tm = _instantiate(dim, decays, slot_names, coords)
     except MadcapError as exc:
-        return coords, None, f"skipped: {exc}"
+        return None, f"skipped: {exc}"
     res = is_degradable(tm, tol_psd)
     row = [_fmt(c) for c in coords]
     row.append(_DEG_CODE[res.degradable])
@@ -184,7 +192,7 @@ def _sweep_point(task):
     if "capacity" in analyses:
         cert = certify_capacity(tm, tol_border=tol_border, tol_psd=tol_psd)
         kind, value = cert.kind, _fmt(cert.value)
-    elif "monotonicity" in analyses and mono:
+    elif "monotonicity" in analyses:
         j, i = int(mono["from"]), int(mono["to"])
         eps = float(mono.get("epsilon", 0.01))
         eps = min(eps, float(tm.gamma[j, j]))
@@ -205,36 +213,33 @@ def _sweep_point(task):
             kind = "mono|" + "|".join(parts)
             value = _fmt(lo)
     row.extend([kind, value])
-    return coords, row, None
+    return row, None
 
 
 def cmd_sweep(args) -> int:
     dim, decays, slot_names, ranges, analyses, mono = _parse_sweep_spec(
         _load_json(args.spec))
-    grid = list(itertools.product(*ranges))
-    tasks = [(dim, decays, slot_names, coords, analyses, mono,
-              args.tol_psd, args.tol_border) for coords in grid]
-    results = []
-    for idx, task in enumerate(tasks):
-        results.append(_sweep_point(task))
-        if (idx + 1) % 500 == 0:
-            logger.info("progress: %d/%d", idx + 1, len(tasks))
-    header = ",".join(slot_names + ["degradable", "antidegradable", "min_eig",
-                                    "cert_kind", "cert_value"])
-    lines = [header]
-    skipped = 0
-    for coords, row, reason in results:
+    total = math.prod(len(r) for r in ranges)
+    lines = [",".join(slot_names + ["degradable", "antidegradable", "min_eig",
+                                    "cert_kind", "cert_value"])]
+    skipped = []
+    for idx, coords in enumerate(itertools.product(*ranges), start=1):
+        row, reason = _sweep_point((dim, decays, slot_names, coords, analyses,
+                                    mono, args.tol_psd, args.tol_border))
         if row is None:
-            skipped += 1
-            print(f"{coords}: {reason}", file=sys.stderr)
-            continue
-        lines.append(",".join(row))
+            skipped.append(f"{coords}: {reason}")
+        else:
+            lines.append(",".join(row))
+        if idx % 500 == 0:
+            logger.info("progress: %d/%d", idx, total)
+    for line in skipped:
+        print(line, file=sys.stderr)
     text = "\n".join(lines) + "\n"
     try:
         _atomic_write(args.out, text)
     except OSError as exc:
         return _fail(str(exc), 1)
-    print(f"wrote {len(lines) - 1} rows ({skipped} skipped) to {args.out}",
+    print(f"wrote {len(lines) - 1} rows ({len(skipped)} skipped) to {args.out}",
           file=sys.stderr)
     return 0
 

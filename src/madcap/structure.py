@@ -19,8 +19,8 @@ Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
 lower bound. The two-extension and the Choi state are scattered for a whole
-Gamma stack from per-dimension index tables, in the order their defining sums
-add the entries.
+Gamma stack in one pass from a per-dimension plan, which adds one value-table
+column at each nonzero entry.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -211,34 +211,23 @@ def is_antidegradable(tm: TransitionMatrix) -> bool:
     return all(g[j, 0] - g[j, j] >= 0.0 for j in range(1, tm.dim))
 
 
-def _scatter(layers: tuple, values: np.ndarray, n: int) -> np.ndarray:
-    """Stack (B, n, n) of zeros with each layer's values added at its flat
-    positions; ``values`` is (B, K) and a layer is (positions, columns)
-    with no position repeated, so later layers add onto earlier ones."""
+def _scatter(plan: tuple, values: np.ndarray, n: int) -> np.ndarray:
+    """Stack (B, n, n) of zeros with values[:, columns] added at the flat
+    positions of ``plan`` = (positions, columns), no position repeated.
+    Adding, not assigning, leaves a -0.0 value's entry at +0.0."""
+    pos, col = plan
     out = np.zeros((len(values), n * n))
     # index the first axis of the transposes: numpy's fast path for one Gamma
-    out_t, values_t = out.T, values.T
-    for pos, col in layers:
-        out_t[pos] += values_t[col]
+    out.T[pos] += values.T[col]
     return out.reshape(-1, n, n)
 
 
-def _layered(adds: list) -> tuple:
-    """Split (position, column) additions, listed in the order the defining
-    sums add them, into layers with no repeated position; the k-th addition
-    to a position goes to layer k, so each entry is summed in that order."""
-    layers, seen = [], {}
-    for pos, col in adds:
-        k = seen[pos] = seen.get(pos, -1) + 1
-        if k == len(layers):
-            layers.append([])
-        layers[k].append((pos, col))
-    tables = []
-    for layer in layers:
-        table = np.array(layer, dtype=np.intp).T.copy()
-        table.flags.writeable = False  # shared by every caller of the cache
-        tables.append(tuple(table))
-    return tuple(tables)
+def _plan(adds: list) -> tuple:
+    """Read-only (positions, columns) index arrays of (position, column)
+    additions."""
+    table = np.array(adds, dtype=np.intp).T.copy()
+    table.flags.writeable = False  # shared by every caller of the cache
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +239,7 @@ def _choi_plan(d: int) -> tuple:
             for j in range(d) for i in range(j + 1)]
     adds += [((j * d + j) * n + i * d + i, n + j * d + i)
              for j in range(d) for i in range(d) if i != j]
-    return _layered(adds)
+    return _plan(adds)
 
 
 def mad_choi_states(gammas: np.ndarray) -> np.ndarray:
@@ -280,17 +269,17 @@ class TwoExtension:
 @lru_cache(maxsize=None)
 def _extension_plan(d: int) -> tuple:
     """Scatter plan of the two-extension tau (d³ × d³, before the 1/d) over
-    the values [Gamma, p·delta, -p·delta, sqrt(gamma_jj gamma_ii)], each
-    flattened d × d, where delta_j = gamma_j0 - gamma_jj.
+    the values [Gamma, p·delta, Gamma - p·delta, sqrt(gamma_jj gamma_ii)],
+    each flattened d × d, where delta_j = gamma_j0 - gamma_jj.
 
     The diagonal-in-A part holds gamma_jj on the 2 × 2 block of |j,0,j>,
-    |j,j,0>, gamma_ji on |j,i,i>, and the redistributed excess p_ji delta_j
-    on |j,0,i> and |j,i,0> (taken back off |j,i,i>); the off-diagonal-in-A
-    part couples the 'both copies intact' states with weight
+    |j,j,0>, the redistributed excess p_ji delta_j on |j,0,i> and |j,i,0>,
+    and gamma_ji - p_ji delta_j on |j,i,i>; the off-diagonal-in-A part
+    couples the 'both copies intact' states with weight
     sqrt(gamma_jj gamma_ii)."""
     n = d ** 3
     e = d * d
-    gam, pd, npd, cross = 0, e, 2 * e, 3 * e
+    gam, pd, rest, cross = 0, e, 2 * e, 3 * e
 
     def idx(a: int, b1: int, b2: int) -> int:
         return (a * d + b1) * d + b2
@@ -305,13 +294,11 @@ def _extension_plan(d: int) -> tuple:
         r1, r2 = idx(j, 0, j), idx(j, j, 0)
         for r, c in ((r1, r1), (r2, r2), (r1, r2), (r2, r1)):
             add(r, c, gam + j * d + j)
-        for i in range(1, j):
-            add(idx(j, i, i), idx(j, i, i), gam + j * d + i)
         for i in range(j):
             add(idx(j, 0, i), idx(j, 0, i), pd + j * d + i)
         for i in range(1, j):
             add(idx(j, i, 0), idx(j, i, 0), pd + j * d + i)
-            add(idx(j, i, i), idx(j, i, i), npd + j * d + i)
+            add(idx(j, i, i), idx(j, i, i), rest + j * d + i)
     for j in range(d):
         for i in range(d):
             if i == j:
@@ -322,7 +309,7 @@ def _extension_plan(d: int) -> tuple:
             if j > 0 and i > 0:
                 add(idx(j, j, 0), idx(i, 0, i), col)
                 add(idx(j, 0, j), idx(i, i, 0), col)
-    return _layered(adds)
+    return _plan(adds)
 
 
 def _two_extensions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +323,8 @@ def _two_extensions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                   where=rows)
     pd = p * (g[:, :, 0] - diag)[:, :, None]
     surv = np.sqrt(diag)
-    values = np.concatenate([g, pd, -pd, surv[:, :, None] * surv[:, None, :]],
+    values = np.concatenate([g, pd, g - pd,
+                             surv[:, :, None] * surv[:, None, :]],
                             axis=1).reshape(b, 4 * d * d)
     tau = _scatter(_extension_plan(d), values, d ** 3)
     tau /= d
@@ -359,11 +347,7 @@ def build_two_extension(tm: TransitionMatrix) -> TwoExtension:
     of two_extension_taus."""
     if not is_antidegradable(tm):
         raise ConditionViolatedError("two-extension requires antidegradability")
-    g = tm.gamma
-    for j in range(1, tm.dim):
-        if g[j, 0] - g[j, j] > 0.0 and g[j, j] >= 1.0:
-            raise ConditionViolatedError(f"1 - gamma_jj vanishes at level {j}")
-    tau, p = _two_extensions(g[None])
+    tau, p = _two_extensions(tm.gamma[None])
     return TwoExtension(tm.dim, tau[0], p[0])
 
 

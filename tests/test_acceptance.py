@@ -28,6 +28,8 @@ from madcap.structure import (connecting_choi, connecting_eigenvalues,
                               mad_choi_states, monotonicity_certificate,
                               two_extension_taus)
 
+from test_structure import sparse_channel
+
 
 def example_channel(gamma10, gamma32, gamma30):
     decays = {}
@@ -216,19 +218,17 @@ def test_acceptance_2_d2_classification_oracle():
 
 class TestAcceptance3AntidegradabilityEquivalence:
     def test_vectorized_assembly_matches_reference(self, rng):
-        for d in (3, 4):
-            done = 0
-            while done < 10:
-                tm = random_transition_matrix(d, rng)
-                if not is_antidegradable(tm):
-                    continue
-                done += 1
-                ref = reference_tau(tm)
-                vec = two_extension_taus(tm.gamma[None, :, :])[0]
-                assert np.max(np.abs(ref - vec)) < 1e-12
-                ref_c = reference_choi(tm)
-                vec_c = mad_choi_states(tm.gamma[None, :, :])[0]
-                assert np.max(np.abs(ref_c - vec_c)) < 1e-12
+        # byte for byte, on channels with and without a PSD two-extension
+        for d in (2, 3, 4, 5):
+            tms = [random_transition_matrix(d, rng) for _ in range(12)]
+            tms += [sparse_channel(d, rng) for _ in range(12)]
+            anti = [is_antidegradable(tm) for tm in tms]
+            assert any(anti) and not all(anti)
+            stack = np.stack([tm.gamma for tm in tms])
+            taus, chois = two_extension_taus(stack), mad_choi_states(stack)
+            for tm, tau, choi in zip(tms, taus, chois):
+                assert tau.tobytes() == reference_tau(tm).tobytes()
+                assert choi.tobytes() == reference_choi(tm).tobytes()
 
     def test_d3_grid(self):
         start = time.time()

@@ -437,6 +437,77 @@ class TestCompleteDamping:
             verify_cd_decomposition(TransitionMatrix(2, {(1, 0): 0.5}))
 
 
+def first_cd_permutation(tm, zeros):
+    """Brute-force reference for capacity._find_cd_permutation: the first
+    relabeling in lexicographic order that keeps every decay downward and
+    puts a level of ``zeros`` on top."""
+    d = tm.dim
+    if d - 1 in zeros:
+        return tuple(range(d)), tm
+    for perm in itertools.permutations(range(d)):
+        if (perm.index(d - 1) in zeros
+                and all(perm[i] < perm[j] for j, i in tm.decays)):
+            return perm, permute_levels(tm, perm)
+    return None
+
+
+def zero_levels(tm):
+    return [k for k in range(1, tm.dim)
+            if tm.gamma[k, k] <= capacity._ZERO_LEVEL_TOL]
+
+
+class TestCompleteDampingRelabeling:
+    def check(self, tm):
+        zeros = zero_levels(tm)
+        got = capacity._find_cd_permutation(tm, zeros)
+        want = first_cd_permutation(tm, zeros)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0]
+            assert got[1].gamma.tobytes() == want[1].gamma.tobytes()
+        return want is not None
+
+    def test_every_decay_support_up_to_d4(self):
+        found = 0
+        for d in (2, 3, 4):
+            slots = [(j, i) for j in range(1, d) for i in range(j)]
+            for mask in itertools.product((0, 1), repeat=len(slots)):
+                support = [s for s, m in zip(slots, mask) if m]
+                rows = sorted({j for j, _ in support})
+                # each emitting row decays completely or halfway
+                for full in itertools.product((True, False), repeat=len(rows)):
+                    if not any(full):
+                        continue
+                    total = dict(zip(rows, (1.0 if f else 0.5 for f in full)))
+                    width = {j: sum(1 for a, _ in support if a == j)
+                             for j in rows}
+                    tm = TransitionMatrix(d, {(j, i): total[j] / width[j]
+                                              for j, i in support})
+                    found += self.check(tm)
+        assert found > 0
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_random_channels(self, d):
+        rng = np.random.default_rng(d)
+        tried = found = 0
+        while tried < 300:
+            decays = {}
+            for j in range(1, d):
+                w = rng.dirichlet(np.ones(j)) * (rng.uniform(size=j) > 0.5)
+                if w.sum() == 0.0:
+                    continue
+                total = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.1, 0.9)
+                for i in np.flatnonzero(w):
+                    decays[(j, int(i))] = float(total * w[i] / w.sum())
+            tm = TransitionMatrix(d, decays)
+            if not zero_levels(tm):
+                continue
+            tried += 1
+            found += self.check(tm)
+        assert 0 < found < tried
+
+
 class TestCertifyCapacity:
     def test_zero_for_antidegradable(self):
         cert = certify_capacity(TransitionMatrix(2, {(1, 0): 0.7}))

@@ -198,11 +198,20 @@ class TestSweep:
         {"decays": [{"from": 1, "to": 0.5, "p": "g"}]},
         {"analyses": ["monotonicity"],
          "monotonicity": {"from": 1.5, "to": 0}},
+        # analyses the sweep cannot run are refused, not left blank
+        {"analyses": ["capcity"]},
+        {"analyses": ["monotonicity"]},
+        {"analyses": ["monotonicity"], "monotonicity": None},
+        {"analyses": ["monotonicity"], "monotonicity": {}},
+        {"analyses": ["capacity", "monotonicity"],
+         "monotonicity": {"from": 1, "to": 0}},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
             "monotonicity", "monotonicity-number", "analyses-number",
             "monotonicity-level", "fractional-dim-and-levels",
             "fractional-dim", "fractional-level",
-            "fractional-monotonicity-level"])
+            "fractional-monotonicity-level", "unknown-analysis",
+            "monotonicity-missing", "monotonicity-null",
+            "monotonicity-empty", "capacity-and-monotonicity"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))
@@ -266,12 +275,23 @@ class TestSweep:
         assert err.startswith("progress: 500/501\n")
         assert len(out.read_text().strip().split("\n")) == 502
 
-    def test_d3_lattice_matches_the_reference(self, tmp_path, fresh_stores):
+    def test_d3_lattice_matches_the_reference(self, tmp_path, capsys,
+                                              fresh_stores):
         # min_eig is left out, it differs from the reference by rounding
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(D3_LATTICE))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(spec), "--out", str(out)]) == 0
+        # progress, then the skipped points in grid order, then the summary
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == ["progress: 500/1331", "progress: 1000/1331"]
+        _, _, _, ranges, _, _ = _parse_sweep_spec(D3_LATTICE)
+        over = [c for c in itertools.product(*ranges) if c[1] + c[2] > 1.0]
+        assert len(over) == 605
+        assert [line.split(": ")[0] for line in err[2:-1]] == [
+            str(c) for c in over]
+        assert all(": skipped: " in line for line in err[2:-1])
+        assert err[-1] == f"wrote 726 rows (605 skipped) to {out}"
         columns = ("g10", "g20", "g21", "degradable", "antidegradable",
                    "cert_kind", "cert_value")
         got, want = csv_rows(out, columns), csv_rows(D3_REFERENCE, columns)
@@ -282,9 +302,8 @@ class TestSweep:
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_d3_lattice_does_not_depend_on_call_order(self, order,
                                                       fresh_stores):
-        # certificates depend on Gamma and the tolerances only, so one
-        # process certifying the lattice in another order than the sweep's
-        # gives the reference's kinds and values
+        # one process certifying the lattice in another order than the
+        # sweep's gives the reference's kinds and values
         dim, decays, names, ranges, _, _ = _parse_sweep_spec(D3_LATTICE)
         points = []
         for coords in itertools.product(*ranges):

@@ -336,11 +336,14 @@ class TestTwoExtension:
                 assert ext.p.tobytes() == p.tobytes()
 
     def test_cached_scatter_plans_are_read_only(self):
-        for plan in (structure._extension_plan(3), structure._choi_plan(3)):
-            for table in plan:
-                for column in table:
+        for d in (2, 3, 4):
+            for plan in (structure._extension_plan(d),
+                         structure._choi_plan(d)):
+                # the single scatter pass adds at each position once
+                assert len(np.unique(plan[0])) == len(plan[0])
+                for table in plan:
                     with pytest.raises(ValueError):
-                        column[0] = 0
+                        table[0] = 0
 
     def test_rejects_non_antidegradable(self):
         with pytest.raises(ConditionViolatedError):

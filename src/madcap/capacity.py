@@ -12,6 +12,11 @@ The certificate cascade for a transition matrix:
      i, t), optionally with a second entry zeroed: its top Gamma(0)[j, j],
      the sandwich's complete-damping end, its bottom Gamma(0)'s verdict and
      its border t*; an axis with t* > gamma_ji is skipped.
+     t* is the answer of a 60-level bisection on the degradable_margins
+     verdicts. Each batch of the search (_border) evaluates the next tree
+     levels plus the bisection paths that secant guesses from the Choi
+     margins predict, and applies verdicts only where the bisection goes,
+     so t* is sequential bisection's whatever the guesses are.
      The pin certifies no end whose start-grid bound (_start_grid) exceeds
      the lower bound by more than 2 tol_border: an exact value lies within
      tol_border of the end's capacity, which is at least that bound
@@ -42,7 +47,7 @@ from .errors import ConditionViolatedError, MadcapError
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_choi,
-                        degradable_mask, is_antidegradable, is_degradable,
+                        degradable_margins, is_antidegradable, is_degradable,
                         monotonicity_certificate)
 
 _ZERO_LEVEL_TOL = 1e-12
@@ -451,11 +456,18 @@ _STORE_MAX = 8192
 _CERT_LOCK = threading.Lock()
 
 # A border search bisects 60 levels deep, _LEVELS_PER_ROUND levels per
-# round: each round tests the 2^k - 1 midpoints of the next k levels of the
-# bisection tree in one batch. k = 3 measured fastest on the d = 3 sweep and
-# the d = 4 quadrant together.
+# round at least: each round tests the 2^k - 1 midpoints of the next k levels
+# of the bisection tree in one batch, with the bisection paths to secant
+# guesses (_border). k = 3 measured fastest on the d = 3 sweep and the d = 4
+# quadrant together with tree rounds alone; with guessed paths, k = 2 and 4
+# trade batches for points on both, so 3 is kept. A path to a guess stops
+# once its bracket is narrower than _SPREAD_CUT of the spread of the round's
+# guesses: below that, the guesses' paths have parted, and the next round
+# guesses from the points both evaluated. 2^-8 balanced batches against
+# points on the d = 3 lattice and the d = 4 quadrant.
 _BISECT_LEVELS = 60
 _LEVELS_PER_ROUND = 3
+_SPREAD_CUT = 2.0 ** -8
 
 
 def _stored(store: dict, key, compute):
@@ -519,18 +531,19 @@ def _line(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
           ) -> Tuple[float, bool, Callable[[], float]]:
     """(top, bottom_ok, border) of the line Gamma(t) = _decay_stack(tm, j, i,
     [t], zeroed): top = Gamma(0)[j, j], where level j decays completely;
-    bottom_ok, degradable_mask at Gamma(0); and border(), the degradable
-    border t* on [0, top] (_border) of a line with bottom_ok, which may lie
-    above gamma_ji. Gamma(0) fixes Gamma(t) for every t (same off-diagonals,
-    t at (j, i), diagonals recomputed), so the record is the line's alone,
-    whichever point and caller ask, and is remembered in _LINES."""
+    bottom_ok, degradable_margins' verdict at Gamma(0); and border(), the
+    degradable border t* on [0, top] (_border, probing degradable_margins)
+    of a line with bottom_ok, which may lie above gamma_ji. Gamma(0) fixes
+    Gamma(t) for every t (same off-diagonals, t at (j, i), diagonals
+    recomputed), so the record is the line's alone, whichever point and
+    caller ask, and is remembered in _LINES."""
     g0 = _decay_stack(tm, j, i, [0.0], zeroed)
     key, top = g0.tobytes(), float(g0[0, j, j])
     bottom_ok = _stored(_LINES, (key, tol_psd),
-                        lambda: bool(degradable_mask(g0, tol_psd)[0]))
+                        lambda: bool(degradable_margins(g0, tol_psd)[0][0]))
     border = partial(_stored, _LINES, (key, j, i, tol_psd), lambda: _border(
-        lambda ts: degradable_mask(_decay_stack(tm, j, i, ts, zeroed),
-                                   tol_psd), 0.0, top))
+        lambda ts: degradable_margins(_decay_stack(tm, j, i, ts, zeroed),
+                                      tol_psd), 0.0, top))
     return top, bottom_ok, border
 
 
@@ -541,30 +554,85 @@ def _settled(lo: float, hi: float, hi_tested: bool) -> bool:
     return mid == lo or (mid == hi and hi_tested)
 
 
-def _border(pred_batch, lo: float, hi: float) -> float:
+def _path(lo: float, hi: float, hi_tested: bool, left: int, guess: float,
+          width: float) -> List[float]:
+    """The midpoints sequential bisection visits from (lo, hi), at most
+    ``left`` of them, if pred(t) is t <= guess, while the bracket is at least
+    ``width`` wide."""
+    mids = []
+    while left and hi - lo >= width and not _settled(lo, hi, hi_tested):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if mid <= guess:
+            lo = mid
+        else:
+            hi, hi_tested = mid, True
+        left -= 1
+    return mids
+
+
+def _root(a: float, ma: float, b: float, mb: float) -> float:
+    """Zero of the line through (a, ma) and (b, mb); nan if it is flat."""
+    return b - mb * (b - a) / (mb - ma) if mb != ma else math.nan
+
+
+def _guesses(seen: dict, lo: float, hi: float) -> List[float]:
+    """Secant guesses at the border inside (lo, hi) from the margins in
+    ``seen`` (t -> (verdict, margin)): the one-sided secants through the two
+    evaluated points nearest the bracket above it and below it, then regula
+    falsi between lo and hi. The one-sided secants find the border of a
+    margin that is flat at and below lo and linear above it, where regula
+    falsi stalls. Non-finite margins and guesses outside (lo, hi) are
+    dropped."""
+    pts = sorted((t, m) for t, (_, m) in seen.items() if math.isfinite(m))
+    below = [p for p in pts if p[0] <= lo][-2:]
+    above = [p for p in pts if p[0] >= hi][:2]
+    ends = [p for p in pts if p[0] in (lo, hi)]
+    out = []
+    for pair in (above, below, ends):
+        if len(pair) == 2:
+            g = _root(*pair[0], *pair[1])
+            if lo < g < hi:
+                out.append(g)
+    return out
+
+
+def _border(probe, lo: float, hi: float) -> float:
     """Largest t in [lo, hi] with pred true, assuming pred(lo) and not
     pred(hi), by bisection on the boolean, _BISECT_LEVELS levels deep.
 
-    ``pred_batch`` maps an array of t to an array of booleans. Whenever the
-    next midpoint has no verdict yet, one call evaluates the midpoints of
-    the next _LEVELS_PER_ROUND levels of the bisection tree. Each step
-    applies the verdict at its own midpoint, so the answer equals that of
-    sequential bisection. The search stops once float resolution leaves lo
-    fixed (_settled); the initial hi counts as untested."""
-    left, hi_tested, verdicts = _BISECT_LEVELS, False, {}
+    ``probe`` maps an array of t to (verdicts, margins): pred's booleans and
+    a signed margin, positive where pred holds, that varies smoothly with t
+    (nan where unknown). Whenever the next midpoint has no verdict yet, one
+    probe call evaluates the midpoints of the next _LEVELS_PER_ROUND levels
+    of the bisection tree, in the first round also lo for its margin, and
+    the path bisection would take to each of _guesses' guesses, each path
+    stopping once its bracket is narrower than _SPREAD_CUT of the guesses'
+    spread (so a lone guess's path runs to the end). Each step applies the
+    verdict at its own midpoint, so the answer equals that of sequential
+    bisection, whatever the margins are: a wrong guess costs points, never
+    answers. The search stops once float resolution leaves lo fixed
+    (_settled); the initial hi counts as untested."""
+    left, hi_tested, seen = _BISECT_LEVELS, False, {}
     while left and not _settled(lo, hi, hi_tested):
         mid = 0.5 * (lo + hi)
-        if mid not in verdicts:
-            mids, level = [], [(lo, hi)]
+        if mid not in seen:
+            ts, level = [] if seen else [lo], [(lo, hi)]
             for _ in range(min(_LEVELS_PER_ROUND, left)):
                 nxt = []
                 for a, b in level:
                     m = 0.5 * (a + b)
-                    mids.append(m)
+                    ts.append(m)
                     nxt += [(a, m), (m, b)]
                 level = nxt
-            verdicts = dict(zip(mids, pred_batch(np.array(mids))))
-        if verdicts[mid]:
+            guesses = _guesses(seen, lo, hi)
+            for g in guesses:
+                ts += _path(lo, hi, hi_tested, left, g,
+                            _SPREAD_CUT * (max(guesses) - min(guesses)))
+            ts = list(dict.fromkeys(ts))
+            verdicts, margins = probe(np.array(ts))
+            seen.update(zip(ts, zip(verdicts.tolist(), margins.tolist())))
+        if seen[mid][0]:
             lo = mid
         else:
             hi, hi_tested = mid, True

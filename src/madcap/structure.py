@@ -11,10 +11,12 @@ kernels' nonzero patterns, reads its decoupled diagonal entries and its
 sector blocks (one block of each size 2..d) straight out of the
 superoperator; the smallest eigenvalue is the least diagonal entry or block
 eigenvalue, with one stacked eigen-solve per block size. degrading_chois
-keeps the dense Choi. Every Choi test here, the border search's boolean
-degradable_mask included, decides PSD by linalg.psd_rule; a lambda_min that
-misses it by at most BOUNDARY_BAND·scale is labelled "boundary", which is
-reported and never counted as PSD.
+keeps the dense Choi. Every Choi test here, the border search's probe
+degradable_margins included, decides PSD by linalg.psd_rule; a lambda_min
+that misses it by at most BOUNDARY_BAND·scale is labelled "boundary", which
+is reported and never counted as PSD. degradable_margins also returns each
+channel's signed distance from the rule's threshold, which the border search
+uses only to guess where its verdicts flip.
 Antidegradability has the exact analytic criterion gamma_j0 >= gamma_jj for
 every level j >= 1; it is witnessed constructively by a tripartite
 two-extension of the Choi state, and refuted by a strictly positive capacity
@@ -34,7 +36,7 @@ from .complementary import (_complementary_tables, complementary_superops,
 from .errors import (ConditionViolatedError, NotComparableError,
                      SingularInverseError)
 from .inverse import inverse_superops, mad_inverse
-from .linalg import _sector_blocks, psd_rule
+from .linalg import EIG_FLOOR, _sector_blocks, psd_rule
 from .maps import LinearMap
 
 BOUNDARY_BAND = 1e-7  # relative |min eig| band labelled "boundary"
@@ -188,12 +190,22 @@ def degradability_status(gammas: np.ndarray,
     return status, lo
 
 
-def degradable_mask(gammas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """degradability_status(gammas, tol) == "yes", as one boolean per
-    channel, without the verdict strings: linalg.psd_rule on each degrading
-    Choi. Unknown channels (lo = nan) are False."""
+def degradable_margins(gammas: np.ndarray, tol: float = 1e-9
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, margin) for a Gamma stack (B, d, d): mask is
+    degradability_status(gammas, tol) == "yes", as one boolean per channel,
+    without the verdict strings: linalg.psd_rule on each degrading Choi;
+    margin is lambda_min + max(tol, EIG_FLOOR)·scale, the signed distance
+    from psd_rule's threshold, which the border search only uses to guess
+    where the mask flips. Unknown channels (lo = nan) are False, with margin
+    nan."""
     _, lo, scale = _degradability_spectra(gammas)
-    return psd_rule(lo, scale, tol)
+    return psd_rule(lo, scale, tol), lo + max(tol, EIG_FLOOR) * scale
+
+
+def degradable_mask(gammas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The mask of degradable_margins."""
+    return degradable_margins(gammas, tol)[0]
 
 
 def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:

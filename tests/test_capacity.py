@@ -839,47 +839,129 @@ def sequential_bisection(pred, lo, hi):
     return lo
 
 
+# What _border's probe may say as margins: the true ones, and margins that
+# lie. Guesses only choose which points a batch evaluates, so every search
+# must equal sequential bisection whatever the margins are.
+MARGINS = {
+    "true": lambda m, rng: m,
+    "random": lambda m, rng: rng.standard_normal(len(m)),
+    "nan": lambda m, rng: np.full(len(m), np.nan),
+    "flipped": lambda m, rng: -m,
+    "constant": lambda m, rng: np.full(len(m), 0.25),
+}
+
+
+def probe(pred, margin, kind, rng, calls=None):
+    """_border's probe: pred's verdicts and margin(ts) as MARGINS[kind]
+    passes them on; records each batch's size in ``calls``."""
+    def batch(ts):
+        if calls is not None:
+            calls.append(len(ts))
+        return pred(ts), MARGINS[kind](margin(ts), rng)
+
+    return batch
+
+
+def line_pred(tm, j, i, zeroed):
+    """One-t-per-call degradable_mask on the line Gamma(t) of _line."""
+    return lambda t: bool(structure.degradable_mask(
+        capacity._decay_stack(tm, j, i, [t], zeroed), 1e-9)[0])
+
+
 class TestBorderSearch:
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 7])
     def test_threshold_borders_match_sequential_bisection(self, rng,
                                                            monkeypatch, levels):
         monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
-        for _ in range(20):
+        for _, kind in itertools.product(range(20), MARGINS):
             hi = float(rng.uniform(0.01, 1.0))
             t_star = float(rng.uniform(0.0, hi))
-            got = capacity._border(lambda ts: ts <= t_star, 0.0, hi)
+            calls = []
+            got = capacity._border(probe(lambda ts: ts <= t_star,
+                                         lambda ts: t_star - ts, kind, rng,
+                                         calls), 0.0, hi)
             assert got == sequential_bisection(lambda t: t <= t_star, 0.0, hi)
+            if kind == "true":
+                # linear margins: the path to the first guess is the
+                # bisection's but for rounding in the last few levels
+                assert len(calls) <= 4
 
     @pytest.mark.parametrize("levels", [1, 3, 4])
     def test_non_monotone_predicate_matches_sequential_bisection(
-            self, monkeypatch, levels):
+            self, rng, monkeypatch, levels):
         monkeypatch.setattr(capacity, "_LEVELS_PER_ROUND", levels)
 
-        def pred(t):
-            return np.sin(1.0 / (np.asarray(t) + 1e-3)) > 0.0
+        def margin(t):
+            return np.sin(1.0 / (np.asarray(t) + 1e-3))
 
-        got = capacity._border(pred, 0.0, 0.7)
-        assert got == sequential_bisection(lambda t: bool(pred(t)), 0.0, 0.7)
+        for kind in MARGINS:
+            got = capacity._border(probe(lambda ts: margin(ts) > 0.0, margin,
+                                         kind, rng), 0.0, 0.7)
+            assert got == sequential_bisection(
+                lambda t: bool(margin(t) > 0.0), 0.0, 0.7)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_float_resolution_stop_keeps_sequential_answers(self, rng, width):
-        for _ in range(50):
+        for _, kind in itertools.product(range(50), MARGINS):
             lo = float(rng.uniform(0.0, 1.0))
             hi = lo
             for _ in range(width):
                 hi = float(np.nextafter(hi, 2.0))
             # pred true at hi, which _border never assumes tested
-            for pred in (lambda ts: ts <= hi, lambda ts: ts < hi,
-                         lambda ts: ts <= lo):
+            for pred, root in ((lambda ts: ts <= hi, hi),
+                               (lambda ts: ts < hi, hi),
+                               (lambda ts: ts <= lo, lo)):
                 calls = []
-
-                def counting(ts, pred=pred):
-                    calls.append(len(ts))
-                    return pred(ts)
-
                 want = sequential_bisection(lambda t: bool(pred(t)), lo, hi)
-                assert capacity._border(counting, lo, hi) == want
+                got = capacity._border(probe(pred, lambda ts: root - ts,
+                                             kind, rng, calls), lo, hi)
+                assert got == want
                 assert len(calls) <= 2 * width
+
+    def test_sparse_line_borders_match_sequential_bisection(self,
+                                                            fresh_stores):
+        # random sparse d = 3/4 lines, with and without a second entry
+        # zeroed, each border searched cold and against one t per call
+        rng = np.random.default_rng(1313)
+        lines = 0
+        for k in range(60):
+            d = 3 + k % 2
+            tm = sparse_channel(d, rng)
+            for (j, i), zeroed in itertools.product(
+                    sorted(tm.decays), [None, *sorted(tm.decays)]):
+                if (j, i) == zeroed:
+                    continue
+                top, bottom_ok, border = capacity._line(tm, j, i, 1e-9,
+                                                        zeroed)
+                if not bottom_ok:
+                    continue
+                lines += 1
+                assert border() == sequential_bisection(
+                    line_pred(tm, j, i, zeroed), 0.0, top)
+        assert lines >= 100
+
+    def test_kinked_line_needs_few_batches(self, monkeypatch, fresh_stores):
+        # lambda_min is flat at 0 up to t = 0.01, then falls: regula falsi
+        # from the flat end stalls, the secant through points above the
+        # border does not
+        tm = TransitionMatrix(4, {(1, 0): 0.98, (3, 2): 0.49, (3, 0): 0.49})
+        calls = []
+        inner = capacity.degradable_margins
+
+        def counting(gammas, tol):
+            calls.append(len(gammas))
+            return inner(gammas, tol)
+
+        monkeypatch.setattr(capacity, "degradable_margins", counting)
+        top, bottom_ok, border = capacity._line(tm, 3, 2, 1e-9, (1, 0))
+        calls.clear()
+        t_star = border()
+        assert bottom_ok
+        assert t_star == sequential_bisection(line_pred(tm, 3, 2, (1, 0)),
+                                              0.0, top)
+        assert abs(t_star - 0.01) <= 1e-8
+        # blind 7-point tree rounds take 20 batches here
+        assert len(calls) <= 8
 
     def test_sandwich_and_pin_share_a_key_for_one_predicate(
             self, monkeypatch):
@@ -906,20 +988,17 @@ class TestBorderSearch:
 
         def counting(*args):
             calls.append(args)
-            return structure.degradable_mask(*args)
+            return structure.degradable_margins(*args)
 
-        def pred(tm, j, i, t, zeroed):
-            stack = capacity._decay_stack(tm, j, i, [t], zeroed)
-            return bool(structure.degradable_mask(stack, 1e-9)[0])
-
-        monkeypatch.setattr(capacity, "degradable_mask", counting)
+        monkeypatch.setattr(capacity, "degradable_margins", counting)
         lines = 0
         for d in (3, 4):
             for _ in range(10):
                 tm = random_transition_matrix(d, rng)
                 for (j, i), zeroed in itertools.product(sorted(tm.decays),
                                                         [None, (d - 1, 0)]):
-                    if (j, i) == zeroed or not pred(tm, j, i, 0.0, zeroed):
+                    pred = line_pred(tm, j, i, zeroed)
+                    if (j, i) == zeroed or not pred(0.0):
                         continue
                     lines += 1
                     # points on the line: t = 0, the channel itself and
@@ -934,8 +1013,7 @@ class TestBorderSearch:
                         monkeypatch.setattr(capacity, "_LINES", {})
                         record = capacity._line(point, j, i, 1e-9, zeroed)
                         got.append((record[0], record[1], record[2]()))
-                    want = sequential_bisection(
-                        lambda t: pred(tm, j, i, t, zeroed), 0.0, top)
+                    want = sequential_bisection(pred, 0.0, top)
                     assert got == [(top, True, want)] * len(points)
                     # a warm repeat from any point makes no predicate call,
                     # for the bottom's verdict or the border
@@ -986,23 +1064,34 @@ class TestCertificateCache:
     def test_lattice_pass_tests_each_single_gamma_once(self, monkeypatch,
                                                       fresh_stores):
         # each line's bottom verdict is decided once and shared by both
-        # region-extension forms: no single Gamma reaches degradable_mask
-        # twice, and border batches are the rest (2031 calls in all; 5316
-        # while each form tested its own bottoms)
-        calls, singles = [], []
-        inner = capacity.degradable_mask
+        # region-extension forms: no single Gamma reaches degradable_margins
+        # twice outside a border search, and border batches are the rest
+        # (661 calls in all; 2031 with blind tree rounds, 5316 while each
+        # form tested its own bottoms)
+        calls, singles, searching = [], [], []
+        inner, inner_border = capacity.degradable_margins, capacity._border
 
         def counting(gammas, tol):
             calls.append(len(gammas))
-            if len(gammas) == 1:
+            if len(gammas) == 1 and not searching:
                 singles.append(gammas[0].tobytes())
             return inner(gammas, tol)
 
-        monkeypatch.setattr(capacity, "degradable_mask", counting)
+        def border(*args):
+            # a border batch may hold one point, which may be another
+            # line's bottom
+            searching.append(True)
+            try:
+                return inner_border(*args)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(capacity, "degradable_margins", counting)
+        monkeypatch.setattr(capacity, "_border", border)
         for tm in d3_lattice():
             certify_capacity(tm)
         assert len(singles) == len(set(singles)) > 0
-        assert len(calls) <= 2100
+        assert len(calls) <= 700
 
     def test_cold_warm_and_evicting_caches_agree(self, rng, monkeypatch,
                                                  fresh_stores):
@@ -1074,12 +1163,13 @@ class TestCertificateCache:
                for k in range(16)]
 
         def threshold(gammas, tol):
-            return gammas[:, 2, 1] <= 0.3 * gammas[:, 2, 0]
+            return (gammas[:, 2, 1] <= 0.3 * gammas[:, 2, 0],
+                    0.3 * gammas[:, 2, 0] - gammas[:, 2, 1])
 
         # each line's top is Gamma(0)[2, 2] = 1 - gamma_20
         want = [sequential_bisection(lambda t, tm=tm: t <= 0.3 * tm.gamma[2, 0],
                                      0.0, 1.0 - tm.gamma[2, 0]) for tm in tms]
-        monkeypatch.setattr(capacity, "degradable_mask", threshold)
+        monkeypatch.setattr(capacity, "degradable_margins", threshold)
         monkeypatch.setattr(capacity, "_LINES", {})
         monkeypatch.setattr(capacity, "_STORE_MAX", 2)
 

@@ -12,7 +12,8 @@ from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
                               connecting_eigenvalues, degradability_status,
-                              degradable_mask, degrading_chois,
+                              degradable_margins, degradable_mask,
+                              degrading_chois,
                               degrading_map,
                               is_antidegradable, is_degradable,
                               mad_choi_state, mad_choi_states,
@@ -231,6 +232,12 @@ class TestSectorPlan:
             assert np.array_equal(status[known], dense)
             assert np.array_equal(degradable_mask(stack, tol),
                                   status == "yes")
+            # the border search's probe: the same mask, and margins that are
+            # nan where unknown and >= 0 exactly where the mask holds
+            mask, margin = degradable_margins(stack, tol)
+            assert np.array_equal(mask, status == "yes")
+            assert np.array_equal(np.isnan(margin), ~known)
+            assert np.array_equal(margin[known] >= 0.0, mask[known])
         assert {"yes", "no", "unknown"} <= set(
             degradability_status(stacks[0], tol)[0])
         labels = set(degradability_status(near, tol)[0])

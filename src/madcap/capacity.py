@@ -8,10 +8,10 @@ The certificate cascade for a transition matrix:
   4. region extension along a single decay entry, either sandwiched between
      a degradable border and a complete-damping border with equal values, or
      pinned between a monotone upper bound and an independent lower bound;
-     both read the record (_line) of their line Gamma(t) = tm.with_decay(j,
-     i, t), optionally with a second entry zeroed: its top Gamma(0)[j, j],
-     the sandwich's complete-damping end, its bottom Gamma(0)'s verdict and
-     its border t*; an axis with t* > gamma_ji is skipped.
+     both read the record (_line) of a line Gamma(t) = tm.with_decay(j, i, t)
+     through tm, for the pin with a second entry zeroed: its top Gamma(0)[j,
+     j], the sandwich's complete-damping end, its bottom Gamma(0)'s verdict
+     and its border t*; an axis with t* > gamma_ji is skipped.
      t* is the answer of a 60-level bisection on the degradable_margins
      verdicts. Each batch of the search (_border) evaluates the next tree
      levels plus the bisection paths that secant guesses from the Choi
@@ -511,39 +511,35 @@ def _find_cd_permutation(tm: TransitionMatrix, zeros: List[int]
     return perm, permute_levels(tm, perm)
 
 
-def _decay_stack(tm: TransitionMatrix, j: int, i: int, ts: np.ndarray,
-                 zeroed: Optional[Tuple[int, int]] = None) -> np.ndarray:
+def _decay_stack(tm: TransitionMatrix, j: int, i: int,
+                 ts: np.ndarray) -> np.ndarray:
     """Gamma of tm.with_decay(j, i, t) for every t in ``ts`` (all in
-    [0, 1]), followed by .with_decay(*zeroed, 0.0) when ``zeroed`` is given,
-    with the same arithmetic: diagonals max(1 - row sum, 0)."""
+    [0, 1]), with the same arithmetic: only row j changes, and its diagonal
+    is max(1 - row sum, 0) as TransitionMatrix sums it."""
     ts = np.asarray(ts, dtype=float)
     g = np.repeat(tm.gamma[None], len(ts), axis=0)
     g[:, j, i] = ts
-    if zeroed is not None:
-        g[:, zeroed[0], zeroed[1]] = 0.0
-    for a in range(tm.dim):
-        g[:, a, a] = np.maximum(1.0 - g[:, a, :a].sum(axis=1), 0.0)
+    g[:, j, j] = np.maximum(1.0 - g[:, j, :j].sum(axis=1), 0.0)
     return g
 
 
-def _line(tm: TransitionMatrix, j: int, i: int, tol_psd: float,
-          zeroed: Optional[Tuple[int, int]] = None
-          ) -> Tuple[float, bool, Callable[[], float]]:
-    """(top, bottom_ok, border) of the line Gamma(t) = _decay_stack(tm, j, i,
-    [t], zeroed): top = Gamma(0)[j, j], where level j decays completely;
+def _line(tm: TransitionMatrix, j: int, i: int,
+          tol_psd: float) -> Tuple[float, bool, Callable[[], float]]:
+    """(top, bottom_ok, border) of the line Gamma(t) = tm.with_decay(j, i, t)
+    (_decay_stack): top = Gamma(0)[j, j], where level j decays completely;
     bottom_ok, degradable_margins' verdict at Gamma(0); and border(), the
     degradable border t* on [0, top] (_border, probing degradable_margins)
     of a line with bottom_ok, which may lie above gamma_ji. Gamma(0) fixes
-    Gamma(t) for every t (same off-diagonals, t at (j, i), diagonals
+    Gamma(t) for every t (same off-diagonals, t at (j, i), row j's diagonal
     recomputed), so the record is the line's alone, whichever point and
     caller ask, and is remembered in _LINES."""
-    g0 = _decay_stack(tm, j, i, [0.0], zeroed)
+    g0 = _decay_stack(tm, j, i, [0.0])
     key, top = g0.tobytes(), float(g0[0, j, j])
     bottom_ok = _stored(_LINES, (key, tol_psd),
                         lambda: bool(degradable_margins(g0, tol_psd)[0][0]))
     border = partial(_stored, _LINES, (key, j, i, tol_psd), lambda: _border(
-        lambda ts: degradable_margins(_decay_stack(tm, j, i, ts, zeroed),
-                                      tol_psd), 0.0, top))
+        lambda ts: degradable_margins(_decay_stack(tm, j, i, ts), tol_psd),
+        0.0, top))
     return top, bottom_ok, border
 
 
@@ -781,8 +777,9 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
         for zeroed in decays:
             if zeroed == (j, i):
                 continue
-            _, bottom_ok, border = _line(tm, j, i, tol_psd, zeroed)
-            # tm with ``zeroed`` at 0 is the bottom of the line along it
+            # through tm with ``zeroed`` at 0, the bottom of ``zeroed``'s line
+            _, bottom_ok, border = _line(tm.with_decay(*zeroed, 0.0), j, i,
+                                         tol_psd)
             if not bottom_ok or _line(tm, *zeroed, tol_psd)[1]:
                 continue
             # checked first: above gamma_ji the kept entry of ``zeroed`` can
@@ -811,20 +808,29 @@ def _try_monotone_pin(tm: TransitionMatrix, lower: float, tol_border: float,
 # At most this many omega points, so grid_step >= 1e-4: each point costs one
 # connecting Choi per k and step.
 _MAX_OMEGAS = 10001
+# At most this many iterations: at n = 53, gamma21 = 1 - 2^-n and gamma20 =
+# 2^-(n+1) sum to 1.0 in floats, so gamma22 = 0 and Phi_1 has no inverse.
+_MAX_ITERATIONS = 52
 
 
 def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
                            iterations: int = 3,
-                           k_grid: Optional[List[float]] = None) -> dict:
+                           k_grid: Optional[List[float]] = None,
+                           tol_psd: float = 1e-9) -> dict:
     """Iterate the connecting-channel construction on the 3-level slice at
     fixed gamma10: at step n the PSD region of the connecting Choi must be
     omega21 <= 1 - k/2^(n+1), extending the certified-equal-capacity region;
     the certified value is adc_capacity(gamma10), cross-checked against the
     diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2).
-    A grid_step whose omega grid on [0, 1] would hold more than _MAX_OMEGAS
-    points raises ConditionViolatedError."""
+    Every PSD test uses ``tol_psd``. A grid_step whose omega grid on [0, 1]
+    would hold more than _MAX_OMEGAS points, or more than _MAX_ITERATIONS
+    iterations, raise ConditionViolatedError."""
     if not (0.0 <= gamma10 <= 0.5):
         raise ConditionViolatedError(f"gamma10={gamma10} outside [0, 0.5]")
+    if iterations > _MAX_ITERATIONS:
+        raise ConditionViolatedError(
+            f"iterations={iterations} must be at most {_MAX_ITERATIONS}: "
+            "beyond it gamma22 rounds to 0, leaving no connecting map")
     # the length of the np.arange below, before it is built
     if not grid_step > 0.0 or math.ceil((1.0 + 1e-12) / grid_step) > _MAX_OMEGAS:
         raise ConditionViolatedError(
@@ -841,7 +847,7 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
         for k in k_grid:
             bound = 1.0 - k / 2.0 ** (n + 1)
             chois = [connecting_choi(g21, float(w), k) for w in omegas]
-            psds = _psd_status(np.stack(chois), 1e-9)[0] == "yes"
+            psds = _psd_status(np.stack(chois), tol_psd)[0] == "yes"
             mismatches = 0
             for w, psd in zip(omegas, psds):
                 expected = (g21 <= w + 1e-12) and (w <= bound + 1e-12)
@@ -853,7 +859,7 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
     certified_omega = 1.0 - 2.0 ** (-(iterations + 1))
     edge = TransitionMatrix(3, {(1, 0): gamma10, (2, 0): 0.5})
     edge_val, _ = max_diagonal_coherent_info(edge)
-    edge_deg = is_degradable(edge).degradable
+    edge_deg = is_degradable(edge, tol_psd).degradable
     slice_points = [float(w) for w in omegas if w <= certified_omega + 1e-12]
     return {
         "gamma10": gamma10,

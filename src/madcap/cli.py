@@ -20,7 +20,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .capacity import adc_capacity, certify_capacity, mad3_acge_verification
+from .capacity import (_MAX_ITERATIONS, adc_capacity, certify_capacity,
+                       mad3_acge_verification)
 from .channel import TransitionMatrix, _whole
 from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
@@ -268,7 +269,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_mad3(args) -> int:
     report = mad3_acge_verification(args.gamma10, grid_step=args.grid_step,
-                                    iterations=args.iterations)
+                                    iterations=args.iterations,
+                                    tol_psd=args.tol_psd)
     lines = ["n,k,analytic_bound,mismatches"]
     for step in report["steps"]:
         for kc in step["k_checks"]:
@@ -370,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mad3", help="3-level connecting-channel verification")
     p.add_argument("--gamma10", type=float, required=True)
-    p.add_argument("--iterations", type=_bounded(int, 0), default=3)
+    p.add_argument("--iterations", type=_bounded(int, 0), default=3,
+                   help=f"connecting-channel steps, at most {_MAX_ITERATIONS}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mad3)
 

@@ -139,38 +139,31 @@ def _sector_plan(d: int) -> tuple:
     return pos, len(singles), tuple(blocks)
 
 
-def _degrading_min_eigs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue and scale max(1, max |entry|) of the normalized
-    degrading Choi of each Gamma in a stack (B, d, d) with every
-    gamma_kk > 0, from the sector plan: the least decoupled diagonal entry
-    and one stacked eigen-solve per block size.
-
-    Every entry is the dense Choi's (the superoperator entry over d, as in
-    degrading_chois) and the blocks are symmetrized as _psd_status does, so
-    only the eigen-solve's rounding differs from the dense test."""
-    b, d, _ = g.shape
-    pos, n_diag, blocks = _sector_plan(d)
-    vals = _degrading_superops(g).reshape(b, -1)[:, pos] / d
-    scale = np.abs(vals).max(axis=1, initial=1.0)
-    lo = vals[:, :n_diag].min(axis=1, initial=np.inf)
-    for start, k, size in blocks:
-        m = vals[:, start:start + k * size * size].reshape(b, k, size, size)
-        m = (m + m.swapaxes(-1, -2)) / 2
-        lo = np.minimum(lo, np.linalg.eigvalsh(m)[..., 0].min(axis=1))
-    return lo, scale
-
-
 def _degradability_spectra(gammas: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(known, lo, scale) for a Gamma stack (B, d, d): known is False where
-    some gamma_kk = 0 makes the inverse unavailable; there lo is nan and
-    scale 1."""
+    some gamma_kk = 0 makes the inverse unavailable, and there lo is nan and
+    scale 1; elsewhere lo is the degrading Choi's least decoupled diagonal
+    entry or sector-block eigenvalue (one stacked eigen-solve per block
+    size) and scale max(1, max |entry|). Entries are the dense Choi's (as in
+    degrading_chois) and blocks are symmetrized as in _psd_status, so only
+    the eigen-solve's rounding differs from the dense test."""
     g = np.asarray(gammas, dtype=float)
+    b, d = len(g), g.shape[-1]
     known = np.all(np.diagonal(g, axis1=1, axis2=2)[:, 1:] > 0.0, axis=1)
-    lo = np.full(len(g), np.nan)
-    scale = np.ones(len(g))
+    lo = np.full(b, np.nan)
+    scale = np.ones(b)
     if known.any():
-        lo[known], scale[known] = _degrading_min_eigs(g[known])
+        pos, n_diag, blocks = _sector_plan(d)
+        k = int(known.sum())
+        vals = _degrading_superops(g[known]).reshape(k, -1)[:, pos] / d
+        scale[known] = np.abs(vals).max(axis=1, initial=1.0)
+        low = vals[:, :n_diag].min(axis=1, initial=np.inf)
+        for start, n, size in blocks:
+            m = vals[:, start:start + n * size * size].reshape(k, n, size, size)
+            m = (m + m.swapaxes(-1, -2)) / 2
+            low = np.minimum(low, np.linalg.eigvalsh(m)[..., 0].min(axis=1))
+        lo[known] = low
     return known, lo, scale
 
 
@@ -201,11 +194,6 @@ def degradable_margins(gammas: np.ndarray, tol: float = 1e-9
     nan."""
     _, lo, scale = _degradability_spectra(gammas)
     return psd_rule(lo, scale, tol), lo + max(tol, EIG_FLOOR) * scale
-
-
-def degradable_mask(gammas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """The mask of degradable_margins."""
-    return degradable_margins(gammas, tol)[0]
 
 
 def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:

@@ -21,7 +21,7 @@ from madcap.channel import (TransitionMatrix, channel_map, compose,
 from madcap.complementary import complementary_apply, env_dim, \
     stinespring_isometry
 from madcap.inverse import mad_inverse
-from madcap.linalg import (min_eigenvalues, partial_trace,
+from madcap.linalg import (min_eigenvalues, partial_trace, psd_rule,
                            random_density_matrix)
 from madcap.structure import (connecting_choi, connecting_eigenvalues,
                               is_antidegradable, is_degradable,
@@ -143,10 +143,11 @@ def reference_choi(tm):
 
 def batch_min_eig_ok(tau, tol=1e-9):
     """PSD check for a batch: sector-split minimum eigenvalues, against
-    tol times the largest |entry| (from max and min: tau is real)."""
+    linalg.psd_rule with scale max(1, max |entry|) (from max and min: tau is
+    real)."""
     scale = np.maximum(1.0, np.maximum(tau.max(axis=(1, 2)),
                                        -tau.min(axis=(1, 2))))
-    return bool(np.all(min_eigenvalues(tau) >= -tol * scale))
+    return bool(np.all(psd_rule(min_eigenvalues(tau), scale, tol)))
 
 
 def gamma_batch_d3(rows1, rows2, i1, i2, steps):

@@ -743,11 +743,11 @@ class TestCertifyCapacity:
         tops = []
         inner = capacity._line
 
-        def top_border(tm, j, i, tol_psd, zeroed=None):
-            top, bottom_ok, _ = inner(tm, j, i, tol_psd, zeroed)
+        def top_border(tm, j, i, tol_psd):
+            top, bottom_ok, _ = inner(tm, j, i, tol_psd)
 
             def border():
-                tops.append((j, i, zeroed))
+                tops.append((j, i, tm.gamma.tobytes()))
                 return top
 
             return top, bottom_ok, border
@@ -756,12 +756,13 @@ class TestCertifyCapacity:
         # the sandwich's only axis would otherwise run backwards to 1 bit
         sandwich = TransitionMatrix(3, {(2, 1): 0.6})
         assert capacity._try_axis_sandwich(sandwich, 1e-6, 1e-9, 0) is None
-        assert tops == [(2, 1, None)]
+        assert tops == [(2, 1, sandwich.gamma.tobytes())]
         # with (2, 1) kept, tm.with_decay(2, 0, top) would be no channel
         pin = TransitionMatrix(3, {(1, 0): 0.1, (2, 0): 0.6, (2, 1): 0.1})
         tops.clear()
         assert capacity._try_monotone_pin(pin, 0.7, 1e-6, 1e-9, 0) is None
-        assert (2, 0, (2, 1)) in tops
+        # the pin's line through pin with (2, 1) zeroed
+        assert (2, 0, pin.with_decay(2, 1, 0.0).gamma.tobytes()) in tops
 
     def test_pin_skips_ends_that_cannot_pin(self, monkeypatch, fresh_stores):
         # LowerBound anchor: the start-grid bound of most pin ends lies
@@ -862,10 +863,17 @@ def probe(pred, margin, kind, rng, calls=None):
     return batch
 
 
-def line_pred(tm, j, i, zeroed):
-    """One-t-per-call degradable_mask on the line Gamma(t) of _line."""
-    return lambda t: bool(structure.degradable_mask(
-        capacity._decay_stack(tm, j, i, [t], zeroed), 1e-9)[0])
+def zeroed_channel(tm, zeroed):
+    """tm with the decay ``zeroed`` at 0, the channel of the pin's line;
+    tm itself when ``zeroed`` is None."""
+    return tm if zeroed is None else tm.with_decay(*zeroed, 0.0)
+
+
+def line_pred(tm, j, i):
+    """One-t-per-call degradable_margins mask on the line Gamma(t) of
+    _line."""
+    return lambda t: bool(structure.degradable_margins(
+        capacity._decay_stack(tm, j, i, [t]), 1e-9)[0][0])
 
 
 class TestBorderSearch:
@@ -931,13 +939,13 @@ class TestBorderSearch:
                     sorted(tm.decays), [None, *sorted(tm.decays)]):
                 if (j, i) == zeroed:
                     continue
-                top, bottom_ok, border = capacity._line(tm, j, i, 1e-9,
-                                                        zeroed)
+                line_tm = zeroed_channel(tm, zeroed)
+                top, bottom_ok, border = capacity._line(line_tm, j, i, 1e-9)
                 if not bottom_ok:
                     continue
                 lines += 1
                 assert border() == sequential_bisection(
-                    line_pred(tm, j, i, zeroed), 0.0, top)
+                    line_pred(line_tm, j, i), 0.0, top)
         assert lines >= 100
 
     def test_kinked_line_needs_few_batches(self, monkeypatch, fresh_stores):
@@ -953,11 +961,12 @@ class TestBorderSearch:
             return inner(gammas, tol)
 
         monkeypatch.setattr(capacity, "degradable_margins", counting)
-        top, bottom_ok, border = capacity._line(tm, 3, 2, 1e-9, (1, 0))
+        line_tm = zeroed_channel(tm, (1, 0))
+        top, bottom_ok, border = capacity._line(line_tm, 3, 2, 1e-9)
         calls.clear()
         t_star = border()
         assert bottom_ok
-        assert t_star == sequential_bisection(line_pred(tm, 3, 2, (1, 0)),
+        assert t_star == sequential_bisection(line_pred(line_tm, 3, 2),
                                               0.0, top)
         assert abs(t_star - 0.01) <= 1e-8
         # blind 7-point tree rounds take 20 batches here
@@ -970,8 +979,11 @@ class TestBorderSearch:
         # (Gamma(0), j, i, tol_psd)
         monkeypatch.setattr(capacity, "_LINES", {})
         tm = TransitionMatrix(3, {(1, 0): 0.25, (2, 1): 0.3})
-        searches = [(tm, 2, 1, 1e-9), (tm, 2, 1, 1e-9, (2, 0)),
-                    (tm, 2, 1, 1e-9, (1, 0)),
+        # the pin's lines go through tm with a second entry zeroed: (2, 0)
+        # is already 0, so that line is the sandwich's
+        searches = [(tm, 2, 1, 1e-9),
+                    (zeroed_channel(tm, (2, 0)), 2, 1, 1e-9),
+                    (zeroed_channel(tm, (1, 0)), 2, 1, 1e-9),
                     (tm.with_decay(2, 1, 0.6), 2, 1, 1e-9),
                     (tm, 2, 1, 1e-8)]
         stored = []
@@ -997,8 +1009,10 @@ class TestBorderSearch:
                 tm = random_transition_matrix(d, rng)
                 for (j, i), zeroed in itertools.product(sorted(tm.decays),
                                                         [None, (d - 1, 0)]):
-                    pred = line_pred(tm, j, i, zeroed)
-                    if (j, i) == zeroed or not pred(0.0):
+                    if (j, i) == zeroed:
+                        continue
+                    pred = line_pred(zeroed_channel(tm, zeroed), j, i)
+                    if not pred(0.0):
                         continue
                     lines += 1
                     # points on the line: t = 0, the channel itself and
@@ -1006,12 +1020,13 @@ class TestBorderSearch:
                     room = float(tm.gamma[j, i] + tm.gamma[j, j])
                     ts = np.r_[0.0, tm.gamma[j, i], rng.uniform(0, room, 3)]
                     points = [tm.with_decay(j, i, float(t)) for t in ts]
-                    top = float(capacity._decay_stack(tm, j, i, [0.0],
-                                                      zeroed)[0, j, j])
+                    top = float(capacity._decay_stack(
+                        zeroed_channel(tm, zeroed), j, i, [0.0])[0, j, j])
                     got = []
                     for point in points:
                         monkeypatch.setattr(capacity, "_LINES", {})
-                        record = capacity._line(point, j, i, 1e-9, zeroed)
+                        record = capacity._line(
+                            zeroed_channel(point, zeroed), j, i, 1e-9)
                         got.append((record[0], record[1], record[2]()))
                     want = sequential_bisection(pred, 0.0, top)
                     assert got == [(top, True, want)] * len(points)
@@ -1019,27 +1034,40 @@ class TestBorderSearch:
                     # for the bottom's verdict or the border
                     calls.clear()
                     for point in points:
-                        record = capacity._line(point, j, i, 1e-9, zeroed)
+                        record = capacity._line(
+                            zeroed_channel(point, zeroed), j, i, 1e-9)
                         assert record[1] and record[2]() == want
                     assert calls == []
         assert lines >= 10
 
     def test_decay_stack_equals_with_decay(self, rng):
-        for d in (3, 4):
-            for _ in range(5):
+        # bytes, so that -0.0 cannot pass for +0.0; from d = 9 on, rows
+        # j >= 8 take TransitionMatrix's np.sum branch
+        for d in range(2, 11):
+            for draw in range(5):
                 tm = random_transition_matrix(d, rng)
                 axes = sorted(tm.decays)
-                j, i = axes[int(rng.integers(len(axes)))]
+                # the last draw's axis is in the top row
+                k = len(axes) - 1 if draw == 4 else int(rng.integers(len(axes)))
+                j, i = axes[k]
                 gji = tm.gamma[j, i]
                 ts = np.r_[0.0, gji, rng.uniform(0.0, gji, 6)]
                 want = np.stack([tm.with_decay(j, i, t).gamma for t in ts])
-                assert np.array_equal(capacity._decay_stack(tm, j, i, ts), want)
+                got = capacity._decay_stack(tm, j, i, ts)
+                assert got.tobytes() == want.tobytes()
+                # the pin's lines: through tm with a second entry zeroed,
+                # which is zeroing it on the line itself
                 for j2, i2 in axes:
-                    want = np.stack([
-                        tm.with_decay(j, i, t).with_decay(j2, i2, 0.0).gamma
-                        for t in ts])
-                    got = capacity._decay_stack(tm, j, i, ts, (j2, i2))
-                    assert np.array_equal(got, want)
+                    tm_z = tm.with_decay(j2, i2, 0.0)
+                    got = capacity._decay_stack(tm_z, j, i, ts).tobytes()
+                    want = np.stack([tm_z.with_decay(j, i, t).gamma
+                                     for t in ts])
+                    assert got == want.tobytes()
+                    if (j2, i2) != (j, i):
+                        want = np.stack([tm.with_decay(j, i, t)
+                                         .with_decay(j2, i2, 0.0).gamma
+                                         for t in ts])
+                        assert got == want.tobytes()
 
 
 # the d = 3 LowerBound point and the README channel
@@ -1213,3 +1241,16 @@ class TestMad3Verification:
         with pytest.raises(ConditionViolatedError):
             mad3_acge_verification(0.2, grid_step=step, iterations=0,
                                    k_grid=[1.0])
+
+    def test_iterations_are_bounded(self, monkeypatch):
+        # at n = 52 gamma22 = 2^-53 survives; at 53 it rounds to 0
+        rep = mad3_acge_verification(0.2, grid_step=0.5, iterations=52,
+                                     k_grid=[1.0])
+        assert rep["steps"][-1]["n"] == 52
+        built = []
+        monkeypatch.setattr(capacity, "connecting_choi",
+                            lambda *args: built.append(args))
+        with pytest.raises(ConditionViolatedError, match="iterations.*52"):
+            mad3_acge_verification(0.2, grid_step=0.5, iterations=53,
+                                   k_grid=[1.0])
+        assert built == []

@@ -343,6 +343,20 @@ class TestMad3:
     def test_invalid_gamma10_exits_2(self):
         assert main(["mad3", "--gamma10", "0.7"]) == 2
 
+    @pytest.mark.parametrize("gamma10", ["0.0", "0.2"])
+    def test_tol_psd_reaches_every_choi_test(self, capsys, gamma10):
+        # at 0.1, one connecting Choi beyond the analytic bound per k of
+        # step 0 passes the rule (lambda_min about -0.1 at k = 1)
+        assert main(["--tol-psd", "0.1", "mad3", "--gamma10", gamma10]) == 0
+        assert json.loads(capsys.readouterr().out)["total_mismatches"] == 6
+
+    def test_iterations_beyond_the_limit_exit_2(self, capsys):
+        assert main(["mad3", "--gamma10", "0.2", "--iterations", "53"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: iterations=53 must be at "
+                                       "most 52")
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -12,7 +12,7 @@ from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
                               connecting_eigenvalues, degradability_status,
-                              degradable_margins, degradable_mask,
+                              degradable_margins,
                               degrading_chois,
                               degrading_map,
                               is_antidegradable, is_degradable,
@@ -208,7 +208,7 @@ class TestSectorPlan:
         for d in (1, 2, 3):
             status, lo = degradability_status(np.zeros((0, d, d)))
             assert status.shape == lo.shape == (0,)
-            assert degradable_mask(np.zeros((0, d, d))).shape == (0,)
+            assert degradable_margins(np.zeros((0, d, d)))[0].shape == (0,)
         status, lo = degradability_status(np.ones((1, 1, 1)))
         assert list(status) == ["yes"] and lo[0] == 1.0
 
@@ -230,10 +230,8 @@ class TestSectorPlan:
             dense, _ = structure._psd_status(degrading_chois(stack[known]),
                                              tol)
             assert np.array_equal(status[known], dense)
-            assert np.array_equal(degradable_mask(stack, tol),
-                                  status == "yes")
-            # the border search's probe: the same mask, and margins that are
-            # nan where unknown and >= 0 exactly where the mask holds
+            # the border search's probe: the "yes" mask, and margins that
+            # are nan where unknown and >= 0 exactly where the mask holds
             mask, margin = degradable_margins(stack, tol)
             assert np.array_equal(mask, status == "yes")
             assert np.array_equal(np.isnan(margin), ~known)

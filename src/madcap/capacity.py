@@ -32,6 +32,7 @@ objective is concave, so the gap bounds the distance to the maximum.
 All capacities are in bits.
 """
 import json
+import logging
 import math
 import threading
 from dataclasses import dataclass, field
@@ -44,11 +45,14 @@ from .channel import (TransitionMatrix, apply, channel_map, kraus_from_gamma,
                       permute_levels)
 from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
+from .inverse import CONDITIONING_WARN
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_choi,
                         degradable_margins, is_antidegradable, is_degradable,
                         monotonicity_certificate)
+
+logger = logging.getLogger(__name__)
 
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
@@ -822,9 +826,10 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
     omega21 <= 1 - k/2^(n+1), extending the certified-equal-capacity region;
     the certified value is adc_capacity(gamma10), cross-checked against the
     diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2).
-    Every PSD test uses ``tol_psd``. A grid_step whose omega grid on [0, 1]
-    would hold more than _MAX_OMEGAS points, or more than _MAX_ITERATIONS
-    iterations, raise ConditionViolatedError."""
+    Every PSD test uses ``tol_psd``. Each step whose gamma22 = 2^-(n+1) is
+    below inverse.CONDITIONING_WARN logs one warning. A grid_step whose
+    omega grid on [0, 1] would hold more than _MAX_OMEGAS points, or more
+    than _MAX_ITERATIONS iterations, raise ConditionViolatedError."""
     if not (0.0 <= gamma10 <= 0.5):
         raise ConditionViolatedError(f"gamma10={gamma10} outside [0, 0.5]")
     if iterations > _MAX_ITERATIONS:
@@ -843,6 +848,10 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
     steps = []
     for n in range(iterations + 1):
         g21 = 1.0 - 2.0 ** (-n)
+        if (1.0 - g21) / 2.0 < CONDITIONING_WARN:
+            logger.warning("mad3 step n=%d: connecting map poorly conditioned: "
+                           "gamma_22 = %g < %g", n, (1.0 - g21) / 2.0,
+                           CONDITIONING_WARN)
         k_checks = []
         for k in k_grid:
             bound = 1.0 - k / 2.0 ** (n + 1)

@@ -95,10 +95,14 @@ class TransitionMatrix:
         payload = json.loads(text)
         try:
             dim = _whole(payload["dim"])
-            decays = {(_whole(e["from"]), _whole(e["to"])): float(e["p"])
-                      for e in payload.get("decays", [])}
+            entries = [((_whole(e["from"]), _whole(e["to"])), float(e["p"]))
+                       for e in payload.get("decays", [])]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStateError(f"malformed channel JSON: {exc}") from exc
+        decays = dict(entries)
+        if len(decays) < len(entries):
+            raise InvalidStateError("malformed channel JSON: a decay is "
+                                    "listed twice")
         return cls(dim, decays)
 
 

@@ -1,11 +1,13 @@
 """Command-line front end: analyze | sweep | mad3 | selftest.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 malformed input.
+Exit codes: 0 success, 1 numeric failure or an unwritable --out, 2
+malformed input, set only by main and by cmd_analyze's numeric failures.
 Sweeps certify one grid point after another in lexicographic grid order.
 One command is one process, and the certificates, diagonal maxima and
 decay-line records that the capacity module remembers for the process are
-what later points of a sweep reuse. A fractional level in a sweep spec is
-malformed input. Diagnostics (sweep progress, conditioning warnings) are
+what later points of a sweep reuse. A sweep spec is malformed if a level is
+fractional or TransitionMatrix refuses the channel all its points share.
+Diagnostics (sweep progress, conditioning warnings) are
 log records of the ``madcap`` loggers, printed to stderr while a command runs.
 """
 import argparse
@@ -49,8 +51,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc}", 2))
+    except (OSError, ValueError) as exc:
+        raise MadcapError(f"cannot read {path}: {exc}") from exc
 
 
 def _fail(msg: str, code: int) -> int:
@@ -81,10 +83,7 @@ def cmd_analyze(args) -> int:
     }
     text = json.dumps(report, indent=2)
     if args.out:
-        try:
-            _atomic_write(args.out, text + "\n")
-        except OSError as exc:
-            return _fail(str(exc), 1)
+        _atomic_write(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -145,14 +144,23 @@ def _parse_sweep_spec(payload):
         if not isinstance(mono, dict) or not mono:
             raise MadcapError("malformed sweep spec: the monotonicity analysis "
                               "needs a non-empty monotonicity object")
-        if "epsilon" in mono:
-            _spec_number(mono, "epsilon", "monotonicity")
+        if ("epsilon" in mono
+                and _spec_number(mono, "epsilon", "monotonicity") <= 0.0):
+            raise MadcapError(f"malformed sweep spec: monotonicity needs "
+                              f"epsilon > 0, got {mono['epsilon']}")
         j, i = (_spec_number(mono, key, "monotonicity", whole=True)
                 for key in ("from", "to"))
-        if not 0 <= i < j < dim:
-            raise MadcapError(f"malformed sweep spec: monotonicity needs "
-                              f"0 <= to < from < dim, got from {j}, to {i}")
         mono = {**mono, "from": j, "to": i}
+    # slot decays at 0: the channel every grid point shares
+    shared = {(j, i): 0.0 if isinstance(p, str) else p for j, i, p in levels}
+    if len(shared) < len(levels):
+        raise MadcapError("malformed sweep spec: a decay is listed twice")
+    try:
+        TransitionMatrix(dim, shared)
+        if "monotonicity" in analyses:
+            TransitionMatrix(dim, {(mono["from"], mono["to"]): 0.0})
+    except MadcapError as exc:
+        raise MadcapError(f"malformed sweep spec: {exc}") from exc
     return dim, levels, slot_names, ranges, analyses, mono
 
 
@@ -235,11 +243,7 @@ def cmd_sweep(args) -> int:
             logger.info("progress: %d/%d", idx, total)
     for line in skipped:
         print(line, file=sys.stderr)
-    text = "\n".join(lines) + "\n"
-    try:
-        _atomic_write(args.out, text)
-    except OSError as exc:
-        return _fail(str(exc), 1)
+    _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows ({len(skipped)} skipped) to {args.out}",
           file=sys.stderr)
     return 0
@@ -278,10 +282,7 @@ def cmd_mad3(args) -> int:
                 str(step["n"]), _fmt(kc["k"]), _fmt(kc["analytic_bound"]),
                 str(kc["mismatches"])]))
     if args.out:
-        try:
-            _atomic_write(args.out, "\n".join(lines) + "\n")
-        except OSError as exc:
-            return _fail(str(exc), 1)
+        _atomic_write(args.out, "\n".join(lines) + "\n")
     summary = {
         "gamma10": report["gamma10"],
         "certificate_value": report["certificate_value"],
@@ -404,10 +405,10 @@ def main(argv=None) -> int:
     with _diagnostics_to_stderr():
         try:
             return args.func(args)
-        except SystemExit as exc:
-            return int(exc.code) if exc.code is not None else 0
         except MadcapError as exc:
             return _fail(str(exc), 2)
+        except OSError as exc:
+            return _fail(str(exc), 1)
         except np.linalg.LinAlgError as exc:
             return _fail(f"numeric failure: {exc}", 1)
 

@@ -422,7 +422,10 @@ def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:
 
     Phi_1 is the 3-level MAD with gamma_20 = (1-gamma21)/2 and Phi_2 the one
     with omega_20 = (1-omega21)/k; the shared gamma_10 cancels and is set to
-    0. PSD of this matrix certifies Q(Phi_2) <= Q(Phi_1).
+    0. PSD of this matrix certifies Q(Phi_2) <= Q(Phi_1). Phi_1's inverse
+    is built without mad_inverse's conditioning warning: gamma_22 =
+    (1-gamma21)/2 is small by design near gamma21 = 1, and
+    mad3_acge_verification warns once per step instead.
     """
     if not (0.0 <= gamma21 < 1.0):
         raise ConditionViolatedError(f"gamma21={gamma21} outside [0, 1)")
@@ -432,7 +435,9 @@ def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:
         raise ConditionViolatedError(f"k={k} outside [1, 2)")
     g1 = TransitionMatrix(3, {(2, 1): gamma21, (2, 0): (1.0 - gamma21) / 2.0})
     g2 = TransitionMatrix(3, {(2, 1): omega21, (2, 0): (1.0 - omega21) / k})
-    lam = mad_inverse(g1).then(channel_map(g2))
+    if g1.gamma[2, 2] <= 0.0:
+        raise SingularInverseError(f"gamma21={gamma21} rounds gamma22 to 0")
+    lam = LinearMap(inverse_superops(g1.gamma[None])[0]).then(channel_map(g2))
     return lam.choi(normalized=False)
 
 

@@ -58,6 +58,8 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", str(bad)]) == 2
+        bad.write_bytes(b"\xff{")  # not UTF-8
+        assert main(["analyze", str(bad)]) == 2
 
     def test_invalid_channel_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -65,15 +67,19 @@ class TestAnalyze:
             {"dim": 2, "decays": [{"from": 1, "to": 0, "p": 1.7}]}))
         assert main(["analyze", str(bad)]) == 2
 
-    def test_missing_file_exits_2(self, tmp_path):
+    def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
     @pytest.mark.parametrize("text", [
         '{"dim": 3, "decays": [{"from": 1, "to": 0, "p": NaN}, '
         '{"from": 2, "to": 0, "p": 0.2}]}',
         '{"dim": 2.7, "decays": [{"from": 1, "to": 0, "p": 0.2}]}',
         '{"dim": 3, "decays": [{"from": 2.9, "to": 0.5, "p": 0.2}]}',
-    ], ids=["nan-p", "fractional-dim", "fractional-level"])
+        # the last entry does not silently win
+        '{"dim": 2, "decays": [{"from": 1, "to": 0, "p": 0.2}, '
+        '{"from": 1, "to": 0, "p": 0.7}]}',
+    ], ids=["nan-p", "fractional-dim", "fractional-level", "duplicate-decay"])
     def test_nan_or_fractional_channel_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -205,13 +211,28 @@ class TestSweep:
         {"analyses": ["monotonicity"], "monotonicity": {}},
         {"analyses": ["capacity", "monotonicity"],
          "monotonicity": {"from": 1, "to": 0}},
+        # decays no grid point can satisfy are refused before any point
+        {"dim": 3, "decays": [{"from": 5, "to": 0, "p": "g"}]},
+        {"decays": [{"from": 0, "to": 1, "p": "g"}]},
+        {"dim": 0},
+        {"dim": 3, "decays": [{"from": 1, "to": 0, "p": "g"},
+                              {"from": 2, "to": 1, "p": 0.7},
+                              {"from": 2, "to": 0, "p": 0.7}]},
+        {"decays": [{"from": 1, "to": 0, "p": "g"},
+                    {"from": 1, "to": 0, "p": 0.2}]},
+        {"dim": 3, "analyses": ["monotonicity"],
+         "monotonicity": {"from": 2, "to": 1, "epsilon": -0.1}},
+        {"dim": 3, "analyses": ["monotonicity"],
+         "monotonicity": {"from": 2, "to": 1, "epsilon": 0}},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
             "monotonicity", "monotonicity-number", "analyses-number",
             "monotonicity-level", "fractional-dim-and-levels",
             "fractional-dim", "fractional-level",
             "fractional-monotonicity-level", "unknown-analysis",
             "monotonicity-missing", "monotonicity-null",
-            "monotonicity-empty", "capacity-and-monotonicity"])
+            "monotonicity-empty", "capacity-and-monotonicity",
+            "level-outside-dim", "upward-decay", "dim-0", "fixed-row-above-1",
+            "duplicate-decay", "epsilon-negative", "epsilon-zero"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))
@@ -349,6 +370,15 @@ class TestMad3:
         # step 0 passes the rule (lambda_min about -0.1 at k = 1)
         assert main(["--tol-psd", "0.1", "mad3", "--gamma10", gamma10]) == 0
         assert json.loads(capsys.readouterr().out)["total_mismatches"] == 6
+
+    def test_one_conditioning_warning_per_step(self, caplog, capsys):
+        # gamma_22 = 2^-(n+1) is below 1e-6 at steps 19 and 20 only
+        with caplog.at_level(logging.WARNING, logger="madcap"):
+            assert main(["mad3", "--gamma10", "0.2", "--iterations", "20"]) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if "poorly conditioned" in r.getMessage()]
+        assert len(warned) == 2
+        assert warned[0].startswith("mad3 step n=19:")
 
     def test_iterations_beyond_the_limit_exit_2(self, capsys):
         assert main(["mad3", "--gamma10", "0.2", "--iterations", "53"]) == 2

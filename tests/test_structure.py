@@ -521,3 +521,6 @@ class TestConnectingChoi:
             connecting_choi(0.5, 1.5, 1.5)
         with pytest.raises(ConditionViolatedError):
             connecting_choi(0.5, 0.5, 2.5)
+        # gamma21 one ulp below 1 rounds gamma22 to 0
+        with pytest.raises(SingularInverseError):
+            connecting_choi(1.0 - 2.0 ** -53, 0.5, 1.5)

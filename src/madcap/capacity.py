@@ -28,7 +28,10 @@ The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
 ascent on the simplex from the best points of a grid and the faces next to
 its result, handling the faces where a level is 0 explicitly, until the
 Frank-Wolfe gap is at most 1e-12 max(1, |f|); on degradable channels the
-objective is concave, so the gap bounds the distance to the maximum.
+objective is concave, so the gap bounds the distance to the maximum. A
+start is skipped as the best one's neighbour when it lies within 1.5/50 of
+it, or within 1.5 spacings of the (coarser, d >= 4) grid and on its face
+(the same levels at 0).
 All capacities are in bits.
 """
 import json
@@ -58,12 +61,15 @@ _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
 # The diagonal maximizer starts from the _STARTS best points of a 1/50 grid,
 # coarser where that has over _GRID_POINTS points (1/18, which holds 1/2, at
-# d = 4), skipping those within _SAME_BASIN (max norm) of the best; its face
-# search enters a level at 1/2, ..., 2^-_ENTER_HALVINGS of the mass.
+# d = 4), skipping those within _SAME_BASIN (max norm) of the best, and those
+# within _SAME_FACE spacings of its own grid of the best with the best's zero
+# pattern; its face search enters a level at 1/2, ..., 2^-_ENTER_HALVINGS of
+# the mass.
 _GRID_STEPS = 50
 _GRID_POINTS = 1330
 _STARTS = 3
 _SAME_BASIN = 1.5 / _GRID_STEPS
+_SAME_FACE = 1.5
 _ENTER_HALVINGS = 10
 # The diagonal maximizer's ascent: at most _ASCENT_STEPS steps, stopping at a
 # Frank-Wolfe gap of _GAP_TOL max(1, |f|); line searches halve at most
@@ -317,18 +323,27 @@ def max_diagonal_coherent_info(tm: TransitionMatrix) -> Tuple[float, np.ndarray]
     reach basins the best grid point misses, and the face search maxima on
     another face or nearer to one than the grid's spacing, ascending from
     the best of _neighbour_faces(p) while f there exceeds f(p) by more than
-    its rounding. The value is diagonal_coherent_information at p, never
-    below its value at the start p came from."""
+    its rounding. A start within _SAME_BASIN of the best grid point, or
+    within _SAME_FACE spacings of it with the same levels at 0, shares the
+    best one's ascent and is skipped; a neighbour on another face can reach
+    a maximum on that face, which the best one's ascent misses. The value
+    is diagonal_coherent_information at p, never below its value at the
+    start p came from."""
     d = tm.dim
     if d == 1:
         return 0.0, np.ones(1)
     lin, w, pts, grid_f = _start_grid(tm.gamma)
     best, first = None, pts[int(np.argmax(grid_f))]
+    same_face = _SAME_FACE / _grid_steps(d)
     for _ in range(_STARTS):
         k = int(np.argmax(grid_f))  # best first; ties keep grid order
         grid_f[k] = -np.inf
-        if best is not None and np.abs(pts[k] - first).max() < _SAME_BASIN:
-            continue
+        if best is not None:
+            dist = np.abs(pts[k] - first).max()
+            if dist < _SAME_BASIN or (
+                    dist < same_face
+                    and np.array_equal(pts[k] > 0.0, first > 0.0)):
+                continue
         start = pts[k].copy()
         p, f = _ascend(lin, w, start)
         val = diagonal_coherent_information(tm, p)

@@ -19,7 +19,7 @@ from madcap.capacity import (CapacityCertificate, adc_capacity,
 from madcap.cli import _instantiate, _parse_sweep_spec
 from madcap.channel import (TransitionMatrix, permute_levels,
                             random_transition_matrix, single_decay_matrix)
-from madcap.errors import ConditionViolatedError
+from madcap.errors import ConditionViolatedError, MadcapError
 from madcap.linalg import random_density_matrix
 from madcap.structure import is_antidegradable, is_degradable
 
@@ -206,12 +206,19 @@ class TestDiagonalMaximization:
           (2, 1): 0.40996904581913635, (3, 0): 0.17682037441841927,
           (3, 1): 0.2611988190124576, (3, 2): 0.014610986399159656},
          0.7023431831644241),
-    ], ids=["d3", "d4", "d4-third-start"])
+        # a start next to the interior best grid point, on a face of it,
+        # ascends to the maximum; the best one reaches 1.0351781283607413
+        ({(2, 1): .4, (3, 0): .2, (3, 1): .1, (3, 2): .1}, 1.036166413245552),
+        # the same at d = 6, where the best one reaches 1.895322104871376
+        ({(3, 2): .2, (4, 3): .2, (5, 0): .3, (5, 3): .5}, 1.897954014011384),
+    ], ids=["d3", "d4", "d4-third-start", "d4-face-neighbour",
+            "d6-face-neighbour"])
     def test_value_reaches_the_better_basin(self, decays, floor):
         """Non-degradable channels with a lower local maximum, which one
         start from the best point of a 1/10 grid reaches on the first two
         (0.91390 and 1.17081); the floors are the values of a 1/50 start
-        grid."""
+        grid on the first three, and of three ascents from the maximizer's
+        own grid on the last two."""
         d = max(j for j, _ in decays) + 1
         val, _ = max_diagonal_coherent_info(TransitionMatrix(d, decays))
         assert val >= floor - 1e-15
@@ -270,16 +277,20 @@ class TestDiagonalMaximization:
 
     def test_one_ascent_where_the_best_grid_points_are_neighbours(
             self, monkeypatch):
-        """On a 1/50 grid the next best points neighbour the best one, so
-        they share its ascent; a degradable channel has no better face."""
+        """The next best points neighbour the best one, on a 1/50 grid
+        (d = 3) or on its face of the 1/18 grid (d = 4, three ascents
+        without the face rule), so they share its ascent; a degradable
+        channel has no better face."""
         calls = []
         ascend = capacity._ascend
         monkeypatch.setattr(capacity, "_ascend",
                             lambda *a: calls.append(1) or ascend(*a))
-        tm = TransitionMatrix(3, {(1, 0): 0.3, (2, 0): 0.1})
-        assert is_degradable(tm).degradable == "yes"
-        max_diagonal_coherent_info(tm)
-        assert len(calls) == 1
+        for tm in (TransitionMatrix(3, {(1, 0): 0.3, (2, 0): 0.1}),
+                   TransitionMatrix(4, {(1, 0): 0.3, (3, 2): 0.1})):
+            assert is_degradable(tm).degradable == "yes"
+            calls.clear()
+            max_diagonal_coherent_info(tm)
+            assert len(calls) == 1, tm.dim
 
     def test_d6_value_is_coherent_information_above_a_scan(self, rng):
         pts = simplex_scan(6, 8)
@@ -828,6 +839,76 @@ def d3_lattice():
                                  (2, 1): tenths[c]})
             for a, b, c in itertools.product(range(11), repeat=3)
             if b + c <= 10]
+
+
+def certified_grid(dim, axes, ranges):
+    """Certify, in grid order, every channel of a grid whose coordinate a
+    sets the decay axes[a] to a value of ranges[a]; points that are no
+    channel are left out. Returns {index tuple: (tm, certificate)}."""
+    grid = {}
+    for ks in itertools.product(*(range(len(r)) for r in ranges)):
+        try:
+            tm = TransitionMatrix(dim, {ax: r[k] for ax, r, k
+                                        in zip(axes, ranges, ks)})
+        except MadcapError:
+            continue
+        grid[ks] = (tm, certify_capacity(tm))
+    return grid
+
+
+def monotone_axis_audit(axes, grid, tol=1e-6):
+    """Check a certified grid (certified_grid) along each monotone axis
+    (_monotone_axis): raising the entry by one grid step never lifts a
+    point's value (exact, or L) above an exact neighbour's value by more
+    than tol. Returns the number of (point, neighbour one step down) pairs
+    in the grid along monotone axes, and the pairs that break the rule, as
+    index tuples; only a pair with an exact neighbour can break it."""
+    pairs, broken = 0, []
+    for ks, (tm, cert) in grid.items():
+        for a, (j, i) in enumerate(axes):
+            below = ks[:a] + (ks[a] - 1,) + ks[a + 1:]
+            if below not in grid or not capacity._monotone_axis(tm, j, i):
+                continue
+            pairs += 1
+            lower = grid[below][1]
+            if lower.exact and cert.value is not None \
+                    and cert.value > lower.value + tol:
+                broken.append((ks, below))
+    return pairs, broken
+
+
+class TestMonotoneAxisAudit:
+    """Capacity does not rise along a monotone axis, which no single
+    certificate checks: monotone_axis_audit over certified grids."""
+
+    def test_lattice_pairs_hold_and_a_raised_value_breaks_one(
+            self, fresh_stores):
+        axes = [(1, 0), (2, 0), (2, 1)]
+        tenths = [round(0.1 * k, 12) for k in range(11)]
+        grid = certified_grid(3, axes, [tenths] * 3)
+        assert len(grid) == 726
+        assert monotone_axis_audit(axes, grid) == (1870, [])
+        # g10 = 0.5 and 0.6 (g20 = g21 = 0) both carry exactly 1 bit
+        ks, below = (6, 0, 0), (5, 0, 0)
+        assert grid[below][1].exact
+        assert grid[ks][1].value == grid[below][1].value == 1.0
+        tm, cert = grid[ks]
+        grid[ks] = (tm, CapacityCertificate(cert.kind, cert.value + 1e-3,
+                                            cert.provenance))
+        assert monotone_axis_audit(axes, grid) == (1870, [(ks, below)])
+
+    def test_atlas_block_pairs_hold(self, fresh_stores):
+        # a block of the 0.2-step d = 4 atlas rich in exact neighbours:
+        # g10, g30 from 0.2, g20 from 0.4, g21, g31, g32 up to 0.8
+        spec = json.loads((DATA / "atlas_d4.json").read_text())
+        dim, decays, _, ranges, _, _ = _parse_sweep_spec(spec)
+        axes = [(j, i) for j, i, _ in decays]
+        block = [(1, 5), (2, 5), (0, 4), (1, 5), (0, 4), (0, 4)]
+        grid = certified_grid(dim, axes, [r[a:b + 1] for r, (a, b)
+                                          in zip(ranges, block)])
+        assert len(grid) == 1750
+        pairs, broken = monotone_axis_audit(axes, grid)
+        assert (pairs, broken) == (4400, [])
 
 
 def sequential_bisection(pred, lo, hi):

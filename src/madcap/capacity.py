@@ -662,18 +662,6 @@ def _monotone_axis(tm: TransitionMatrix, j: int, i: int) -> bool:
     return j == tm.dim - 1 or (j, i) == (1, 0)
 
 
-def _axis_cert_ok(tm_lo: TransitionMatrix, tm_hi: TransitionMatrix,
-                  tol_psd: float) -> bool:
-    """CP check of a connecting map for one increased entry, either side."""
-    for side in ("right", "left"):
-        try:
-            if monotonicity_certificate(tm_lo, tm_hi, side, tol_psd).cp:
-                return True
-        except MadcapError:
-            continue
-    return False
-
-
 def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
                      tol_psd: float = 1e-9,
                      _depth: int = 0) -> CapacityCertificate:
@@ -765,8 +753,14 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
         if abs(v_low - sub.value) > tol_border:
             continue
         if not _monotone_axis(tm, j, i):
-            if not (_axis_cert_ok(tm_lo, tm, tol_psd)
-                    and _axis_cert_ok(tm, tm_hi, tol_psd)):
+            # either side's connecting map CP, on both path segments
+            try:
+                path_ok = all(any(c.cp for c in
+                                  monotonicity_certificate(a, b, tol_psd))
+                              for a, b in ((tm_lo, tm), (tm, tm_hi)))
+            except MadcapError:
+                path_ok = False
+            if not path_ok:
                 continue
         return CapacityCertificate(
             "ExactByRegionExtension", v_low,

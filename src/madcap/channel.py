@@ -6,6 +6,7 @@ level |j> decays onto |i> (i < j). The diagonal gamma_jj = 1 - sum_{i<j}
 gamma_ji is the survival probability of level j.
 """
 import json
+import math
 from functools import reduce
 from operator import add
 from typing import Dict, List, Sequence, Tuple
@@ -94,8 +95,9 @@ class TransitionMatrix:
     def from_json(cls, text: str) -> "TransitionMatrix":
         payload = json.loads(text)
         try:
-            dim = _whole(payload["dim"])
-            entries = [((_whole(e["from"]), _whole(e["to"])), float(e["p"]))
+            dim = _json_number(payload["dim"], True)
+            entries = [((_json_number(e["from"], True),
+                         _json_number(e["to"], True)), _json_number(e["p"]))
                        for e in payload.get("decays", [])]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStateError(f"malformed channel JSON: {exc}") from exc
@@ -106,11 +108,18 @@ class TransitionMatrix:
         return cls(dim, decays)
 
 
-def _whole(x) -> int:
-    """int(x); ValueError if x has a fractional part."""
-    if int(x) != float(x):
+def _json_number(x, whole: bool = False):
+    """x read as a JSON number: a float, or an int if ``whole``. TypeError
+    unless x is an int or a float, not a bool; ValueError if it is not
+    finite or, where ``whole``, fractional; OverflowError for an int beyond
+    the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite")
+    if whole and x != int(x):
         raise ValueError(f"{x!r} is not a whole number")
-    return int(x)
+    return int(x) if whole else float(x)
 
 
 def random_transition_matrix(d: int, rng: np.random.Generator) -> TransitionMatrix:

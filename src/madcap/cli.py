@@ -5,8 +5,11 @@ malformed input, set only by main and by cmd_analyze's numeric failures.
 Sweeps certify one grid point after another in lexicographic grid order.
 One command is one process, and the certificates, diagonal maxima and
 decay-line records that the capacity module remembers for the process are
-what later points of a sweep reuse. A sweep spec is malformed if a level is
-fractional or TransitionMatrix refuses the channel all its points share.
+what later points of a sweep reuse. A sweep spec is malformed if a number
+in it is not a finite JSON number, a level is fractional, or
+TransitionMatrix refuses the channel all its points share. The
+monotonicity analysis writes one monotonicity_certificate pair per point,
+``mono|left:<status>|right:<status>`` and the right map's lambda_min.
 Diagnostics (sweep progress, conditioning warnings) are
 log records of the ``madcap`` loggers, printed to stderr while a command runs.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from .capacity import (_MAX_ITERATIONS, adc_capacity, certify_capacity,
                        mad3_acge_verification)
-from .channel import TransitionMatrix, _whole
+from .channel import TransitionMatrix, _json_number
 from .errors import MadcapError
 from .structure import is_degradable, monotonicity_certificate
 
@@ -165,19 +168,13 @@ def _parse_sweep_spec(payload):
 
 
 def _spec_number(item, key: str, what: str, whole: bool = False):
-    """item[key] as a finite float, or as an int if ``whole`` (a fractional
-    level is malformed, never truncated), or MadcapError naming ``what``."""
+    """item[key] read by channel._json_number (a fractional level is
+    malformed, never truncated), or MadcapError naming ``what``."""
     try:
-        value = float(item[key])
-        if whole and math.isfinite(value):
-            value = _whole(value)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MadcapError(f"malformed sweep spec: {what} needs a "
-                          f"{'whole' if whole else 'numeric'} {key!r}") from exc
-    if not math.isfinite(value):
+        return _json_number(item[key], whole)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MadcapError(f"malformed sweep spec: {what} needs a finite "
-                          f"{key!r}, got {value}")
-    return value
+                          f"{'whole' if whole else 'numeric'} {key!r}") from exc
 
 
 def _instantiate(dim, decays, slot_names, coords):
@@ -209,18 +206,12 @@ def _sweep_point(task):
             kind = "mono:skipped"
         else:
             bigger = tm.with_decay(j, i, float(tm.gamma[j, i]) + eps)
-            parts = []
-            lo = None
-            for side in ("left", "right"):
-                try:
-                    c = monotonicity_certificate(tm, bigger, side, tol_psd)
-                    parts.append(f"{side}:{c.status}")
-                    if side == "right":
-                        lo = c.min_eig
-                except MadcapError:
-                    parts.append(f"{side}:error")
-            kind = "mono|" + "|".join(parts)
-            value = _fmt(lo)
+            try:
+                left, right = monotonicity_certificate(tm, bigger, tol_psd)
+                kind = f"mono|left:{left.status}|right:{right.status}"
+                value = _fmt(right.min_eig)
+            except MadcapError:
+                kind = "mono|left:error|right:error"
     row.extend([kind, value])
     return row, None
 

@@ -23,6 +23,8 @@ two-extension of the Choi state, and refuted by a strictly positive capacity
 lower bound. The two-extension and the Choi state are scattered for a whole
 Gamma stack in one pass from a per-dimension plan, which adds one value-table
 column at each nonzero entry.
+A monotonicity certificate tests both connecting maps of a single-decay
+increase, left and right, in one stacked PSD test.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -394,27 +396,27 @@ def _single_entry_difference(a: TransitionMatrix, b: TransitionMatrix) -> tuple[
     return diff[0]
 
 
-def monotonicity_certificate(tm: TransitionMatrix, tm_bigger: TransitionMatrix,
-                             side: str, tol: float = 1e-9) -> MonotonicityCertificate:
-    """Choi-PSD certificate for Q(bigger) <= Q(tm) when one decay increased.
+def monotonicity_certificate(
+        tm: TransitionMatrix, tm_bigger: TransitionMatrix,
+        tol: float = 1e-9) -> tuple[MonotonicityCertificate,
+                                    MonotonicityCertificate]:
+    """Choi-PSD certificates (left, right) for Q(bigger) <= Q(tm) when one
+    decay increased.
 
-    side='left' tests Lambda_L = Phi_bigger ∘ Phi_tm^{-1}; side='right' tests
-    Lambda_R = Phi_tm^{-1} ∘ Phi_bigger. Either being CP certifies the
-    capacity ordering through the pipeline inequality.
+    left tests Lambda_L = Phi_bigger ∘ Phi_tm^{-1}, right tests Lambda_R =
+    Phi_tm^{-1} ∘ Phi_bigger. Either being CP certifies the capacity
+    ordering through the pipeline inequality. Both share one inverse and one
+    channel map, and both Chois are tested in one stacked eigen-solve.
     """
     j, i = _single_entry_difference(tm, tm_bigger)
     if tm_bigger.gamma[j, i] < tm.gamma[j, i]:
         raise NotComparableError(
             f"entry ({j},{i}) decreases; certificate needs an increase")
-    if side == "left":
-        lam = mad_inverse(tm).then(channel_map(tm_bigger))
-    elif side == "right":
-        lam = channel_map(tm_bigger).then(mad_inverse(tm))
-    else:
-        raise NotComparableError(f"side must be 'left' or 'right', got {side!r}")
-    status, lo = _psd_status(lam.choi(), tol)
-    return MonotonicityCertificate(side, bool(status == "yes"), str(status),
-                                   float(lo))
+    inv, phi = mad_inverse(tm), channel_map(tm_bigger)
+    status, lo = _psd_status(np.stack([inv.then(phi).choi(),
+                                       phi.then(inv).choi()]), tol)
+    return tuple(MonotonicityCertificate(side, s == "yes", str(s), float(m))
+                 for side, s, m in zip(("left", "right"), status, lo))
 
 
 def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:

@@ -350,7 +350,7 @@ class TestAcceptance5MonotonicityRegions:
                       {(1, 0): g10, (2, 0): g20, (2, 1): g21}.items() if v > 0}
             tm = TransitionMatrix(4, decays)
             cert = monotonicity_certificate(
-                tm, tm.with_decay(2, 1, g21 + eps), "right")
+                tm, tm.with_decay(2, 1, g21 + eps))[1]
             assert cert.cp == (g20 > g10), (g10, g20, g21, cert.min_eig)
         assert time.time() - start < 600.0
 
@@ -368,7 +368,7 @@ class TestAcceptance5MonotonicityRegions:
                       {(1, 0): g10, (2, 0): g20, (2, 1): g21}.items() if v > 0}
             tm = TransitionMatrix(4, decays)
             cert = monotonicity_certificate(
-                tm, tm.with_decay(2, 0, g20 + eps), "right")
+                tm, tm.with_decay(2, 0, g20 + eps))[1]
             assert cert.cp == (1.0 - g21 - g10 > 0), (g10, g20, g21)
         assert time.time() - start < 600.0
 
@@ -382,7 +382,7 @@ class TestAcceptance5MonotonicityRegions:
                       {(1, 0): g10, (2, 0): g20, (2, 1): g21}.items() if v > 0}
             tm = TransitionMatrix(4, decays)
             cert = monotonicity_certificate(
-                tm, tm.with_decay(2, 1, g21 + 0.05), "left")
+                tm, tm.with_decay(2, 1, g21 + 0.05))[0]
             assert cert.cp, (g10, g20, g21, cert.min_eig)
         # any decay out of the top level breaks it
         for g32 in (0.1, 0.3):
@@ -391,7 +391,7 @@ class TestAcceptance5MonotonicityRegions:
                     tm = TransitionMatrix(4, {(1, 0): g10, (2, 0): g20,
                                               (2, 1): g21, (3, 2): g32})
                     cert = monotonicity_certificate(
-                        tm, tm.with_decay(2, 1, g21 + 0.05), "left")
+                        tm, tm.with_decay(2, 1, g21 + 0.05))[0]
                     assert not cert.cp, (g32, g10, g20, g21)
 
 

@@ -634,7 +634,7 @@ class TestCertifyCapacity:
     def test_programming_errors_in_axis_certificates_propagate(
             self, monkeypatch, fresh_stores):
         # the (2, 1) axis is not always monotone, so the sandwich asks
-        # _axis_cert_ok for connecting-map certificates
+        # monotonicity_certificate for connecting-map certificates
         tm = TransitionMatrix(4, {(2, 0): 0.3, (2, 1): 0.3})
 
         def broken(*args, **kwargs):

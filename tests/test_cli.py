@@ -79,7 +79,12 @@ class TestAnalyze:
         # the last entry does not silently win
         '{"dim": 2, "decays": [{"from": 1, "to": 0, "p": 0.2}, '
         '{"from": 1, "to": 0, "p": 0.7}]}',
-    ], ids=["nan-p", "fractional-dim", "fractional-level", "duplicate-decay"])
+        # JSON booleans and numeric strings are not numbers
+        '{"dim": 2, "decays": [{"from": true, "to": false, "p": 0.3}]}',
+        '{"dim": 2, "decays": [{"from": 1, "to": 0, "p": true}]}',
+        '{"dim": "3", "decays": [{"from": "2", "to": 0, "p": "0.3"}]}',
+    ], ids=["nan-p", "fractional-dim", "fractional-level", "duplicate-decay",
+            "bool-levels", "bool-p", "string-numbers"])
     def test_nan_or_fractional_channel_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -177,9 +182,54 @@ class TestSweep:
         for line in out.read_text().strip().split("\n")[1:]:
             cells = line.split(",")
             rows[(float(cells[0]), float(cells[1]))] = cells[5]
-        # right certificate CP iff gamma_20 >= gamma_10
-        assert "right:yes" in rows[(0.0, 0.4)]
-        assert "right:no" in rows[(0.4, 0.0)]
+        # the left map is a channel (gamma_32 = 0); the right one is CP iff
+        # gamma_20 >= gamma_10
+        assert rows == {(0.0, 0.0): "mono|left:yes|right:yes",
+                        (0.0, 0.4): "mono|left:yes|right:yes",
+                        (0.4, 0.0): "mono|left:yes|right:no",
+                        (0.4, 0.4): "mono|left:yes|right:yes"}
+
+    def test_undefined_inverse_writes_error_rows(self, tmp_path):
+        # gamma_33 = 0: no inverse, so neither connecting map exists
+        payload = {
+            "dim": 4,
+            "decays": [{"from": 1, "to": 0, "p": 0.2},
+                       {"from": 3, "to": 0, "p": 1.0},
+                       {"from": 2, "to": 1, "p": "g"}],
+            "slots": {"g": {"min": 0.0, "max": 0.4, "step": 0.2}},
+            "analyses": ["monotonicity"],
+            "monotonicity": {"from": 2, "to": 1, "epsilon": 0.05},
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(spec), "--out", str(out)]) == 0
+        rows = [line.split(",")
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["0", "0.2", "0.4"]
+        assert all(r[4:] == ["mono|left:error|right:error", ""] for r in rows)
+
+    def test_one_conditioning_warning_per_certificate(self, tmp_path, caplog,
+                                                      capsys):
+        # gamma_11 = 1e-7: both connecting maps share one inverse, which
+        # warns once per point
+        payload = {
+            "dim": 3,
+            "decays": [{"from": 1, "to": 0, "p": 0.9999999},
+                       {"from": 2, "to": 0, "p": 0.2},
+                       {"from": 2, "to": 1, "p": "g"}],
+            "slots": {"g": {"min": 0.0, "max": 0.4, "step": 0.2}},
+            "analyses": ["monotonicity"],
+            "monotonicity": {"from": 2, "to": 1, "epsilon": 0.05},
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        with caplog.at_level(logging.WARNING, logger="madcap"):
+            assert main(["sweep", str(spec), "--out",
+                         str(tmp_path / "sweep.csv")]) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if "poorly conditioned" in r.getMessage()]
+        assert len(warned) == 3
 
     def test_malformed_spec_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -224,6 +274,11 @@ class TestSweep:
          "monotonicity": {"from": 2, "to": 1, "epsilon": -0.1}},
         {"dim": 3, "analyses": ["monotonicity"],
          "monotonicity": {"from": 2, "to": 1, "epsilon": 0}},
+        # JSON booleans and numeric strings are not numbers
+        {"slots": {"g": {"min": "0", "max": True, "step": "0.5"}}},
+        {"decays": [{"from": True, "to": 0, "p": "g"}]},
+        {"dim": "2"},
+        {"dim": 10 ** 400},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
             "monotonicity", "monotonicity-number", "analyses-number",
             "monotonicity-level", "fractional-dim-and-levels",
@@ -232,7 +287,9 @@ class TestSweep:
             "monotonicity-missing", "monotonicity-null",
             "monotonicity-empty", "capacity-and-monotonicity",
             "level-outside-dim", "upward-decay", "dim-0", "fixed-row-above-1",
-            "duplicate-decay", "epsilon-negative", "epsilon-zero"])
+            "duplicate-decay", "epsilon-negative", "epsilon-zero",
+            "string-and-bool-slot", "bool-level", "string-dim",
+            "dim-beyond-float"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))

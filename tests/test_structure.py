@@ -431,7 +431,7 @@ class TestMonotonicityCertificate:
             eps = float(rng.uniform(0.01, min(0.15, 0.95 - g)))
             tm = TransitionMatrix(3, {(1, 0): g})
             big = TransitionMatrix(3, {(1, 0): g + eps})
-            cert = monotonicity_certificate(tm, big, "right")
+            cert = monotonicity_certificate(tm, big)[1]
             assert cert.cp, (g, eps, cert.min_eig)
 
     def test_gamma21_increase_depends_on_half_space(self):
@@ -440,31 +440,33 @@ class TestMonotonicityCertificate:
         outside = TransitionMatrix(4, {**base, (2, 0): 0.05})
         bigger_in = inside.with_decay(2, 1, 0.2)
         bigger_out = outside.with_decay(2, 1, 0.2)
-        assert monotonicity_certificate(inside, bigger_in, "right").cp
-        assert not monotonicity_certificate(outside, bigger_out, "right").cp
+        assert monotonicity_certificate(inside, bigger_in)[1].cp
+        assert not monotonicity_certificate(outside, bigger_out)[1].cp
 
     def test_left_certificate_needs_empty_top_row(self):
         flat = TransitionMatrix(4, {(1, 0): 0.2, (2, 0): 0.3, (2, 1): 0.2})
         assert monotonicity_certificate(
-            flat, flat.with_decay(2, 1, 0.3), "left").cp
+            flat, flat.with_decay(2, 1, 0.3))[0].cp
         tall = flat.with_decay(3, 2, 0.3)
         assert not monotonicity_certificate(
-            tall, tall.with_decay(2, 1, 0.3), "left").cp
+            tall, tall.with_decay(2, 1, 0.3))[0].cp
 
     def test_boundary_status_is_not_cp(self):
         # the right map misses CP by about 46·eps: "boundary" at eps = 1e-6
         # (lambda_min -4.6e-8), within tol_psd = 1e-9 at eps = 1e-9
         tm = TransitionMatrix(3, {(1, 0): 0.2, (2, 0): 0.1})
-        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-6), "right")
+        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-6))[1]
         assert (cert.status, cert.cp) == ("boundary", False)
-        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-9), "right")
+        cert = monotonicity_certificate(tm, tm.with_decay(2, 1, 1e-9))[1]
         assert (cert.status, cert.cp) == ("yes", True)
 
     def test_soundness_on_degradable_pair(self):
         from madcap.capacity import max_diagonal_coherent_info
         tm = TransitionMatrix(2, {(1, 0): 0.2})
         big = TransitionMatrix(2, {(1, 0): 0.3})
-        assert monotonicity_certificate(tm, big, "right").cp
+        left, right = monotonicity_certificate(tm, big)
+        assert (left.side, right.side) == ("left", "right")
+        assert right.cp
         v_small, _ = max_diagonal_coherent_info(tm)
         v_big, _ = max_diagonal_coherent_info(big)
         assert v_big <= v_small + 1e-6
@@ -473,11 +475,9 @@ class TestMonotonicityCertificate:
         a = TransitionMatrix(3, {(1, 0): 0.2, (2, 0): 0.2})
         b = TransitionMatrix(3, {(1, 0): 0.3, (2, 0): 0.3})
         with pytest.raises(NotComparableError):
-            monotonicity_certificate(a, b, "right")
+            monotonicity_certificate(a, b)
         with pytest.raises(NotComparableError):
-            monotonicity_certificate(b.with_decay(1, 0, 0.2), a, "right")
-        with pytest.raises(NotComparableError):
-            monotonicity_certificate(a, a.with_decay(1, 0, 0.3), "sideways")
+            monotonicity_certificate(b.with_decay(1, 0, 0.2), a)
 
 
 class TestConnectingChoi:

@@ -1,10 +1,10 @@
 """Multi-level amplitude damping channels: algebra, classification, capacity."""
 
-from .channel import (TransitionMatrix, apply, channel_map, compose,
-                      conjugate_by_swap, decompose_by_level,
-                      decompose_single_decays, has_ladder_structure,
-                      isolate_decay, kraus_from_gamma,
-                      random_transition_matrix)
+from .channel import (TransitionMatrix, apply, channel_map,
+                      channel_superops, compose, conjugate_by_swap,
+                      decompose_by_level, decompose_single_decays,
+                      has_ladder_structure, isolate_decay, kraus_from_gamma,
+                      kraus_slots, random_transition_matrix)
 from .complementary import (complementary_apply, complementary_map,
                             complementary_superops, env_basis, env_dim,
                             env_index)
@@ -13,8 +13,8 @@ from .inverse import (adc_inverse, inverse_superops, mad_inverse,
 from .maps import LinearMap
 from .structure import (ClassificationResult, build_two_extension,
                         capacity_positive_witness, connecting_choi,
-                        degrading_map, is_antidegradable, is_degradable,
-                        mad_choi_state, mad_choi_states,
+                        connecting_chois, degrading_map, is_antidegradable,
+                        is_degradable, mad_choi_state, mad_choi_states,
                         monotonicity_certificate, two_extension_taus)
 from .capacity import (CapacityCertificate, adc_capacity, certify_capacity,
                        coherent_information, diagonal_coherent_information,

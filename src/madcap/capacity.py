@@ -44,14 +44,15 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .channel import (TransitionMatrix, apply, channel_map, kraus_from_gamma,
+from .channel import (TransitionMatrix, apply, channel_map,
+                      decompose_by_level, env_basis, kraus_slots,
                       permute_levels)
 from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
 from .inverse import CONDITIONING_WARN
 from .linalg import shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
-from .structure import (_psd_status, best_capacity_witness, connecting_choi,
+from .structure import (_psd_status, best_capacity_witness, connecting_chois,
                         degradable_margins, is_antidegradable, is_degradable,
                         monotonicity_certificate)
 
@@ -96,17 +97,14 @@ def coherent_information(tm: TransitionMatrix, rho: np.ndarray) -> float:
     return von_neumann_entropy(out, validate=False) - von_neumann_entropy(env, validate=False)
 
 
-def _env_pairs(d: int) -> List[Tuple[int, int]]:
-    return [(j, i) for j in range(1, d) for i in range(j)]
-
-
 def diagonal_coherent_information(tm: TransitionMatrix, p: np.ndarray) -> float:
     """I_c on a diagonal input: both outputs are diagonal, so the entropies
     are plain Shannon entropies of closed-form distributions."""
     g = tm.gamma
     p = np.asarray(p, dtype=float)
     out = g.T @ p
-    env = [float(np.diag(g) @ p)] + [g[j, i] * p[j] for j, i in _env_pairs(tm.dim)]
+    env = [float(np.diag(g) @ p)] + [g[j, i] * p[j]
+                                     for i, j in env_basis(tm.dim)[1:]]
     return shannon_entropy(out) - shannon_entropy(np.asarray(env))
 
 
@@ -143,9 +141,9 @@ def _diag_rows(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rows of x = lin @ p, and weights that turn sum_k w_k x_k log2 x_k into
     H(out) - H(env). Rows that are zero for every p are left out."""
     d = g.shape[0]
-    pairs = _env_pairs(d)
+    pairs = env_basis(d)[1:]
     env = np.zeros((len(pairs), d))
-    for r, (j, i) in enumerate(pairs):
+    for r, (i, j) in enumerate(pairs):
         env[r, j] = g[j, i]
     lin = np.vstack([g.T, np.diag(g), env])
     w = np.ones(len(lin))
@@ -398,43 +396,22 @@ def reduce_complete_damping(tm: TransitionMatrix) -> TransitionMatrix:
 
 def _direct_sum_map(tm: TransitionMatrix) -> LinearMap:
     """Reduced channel on the lower block plus a classical flag on the top
-    level: Kraus of the (d-1) channel padded with zeros, plus |d-1><d-1|."""
+    level: the (d-1) channel's Kraus slots, zero-padded, and |d-1><d-1|."""
     d = tm.dim
-    reduced = reduce_complete_damping(tm)
-    ops = []
-    for k in kraus_from_gamma(reduced):
-        pad = np.zeros((d, d), dtype=complex)
-        pad[:d - 1, :d - 1] = k
-        ops.append(pad)
-    flag = np.zeros((d, d), dtype=complex)
-    flag[d - 1, d - 1] = 1.0
-    ops.append(flag)
-    return LinearMap.from_kraus(ops)
-
-
-def _level_erasure_map(tm: TransitionMatrix) -> LinearMap:
-    """Keep the lower block untouched and send the top-level population onto
-    the diagonal with the channel's own decay weights."""
-    d = tm.dim
-    proj = np.eye(d, dtype=complex)
-    proj[d - 1, d - 1] = 0.0
-    ops = [proj]
-    for i in range(d - 1):
-        p = tm.gamma[d - 1, i]
-        if p > 0.0:
-            k = np.zeros((d, d), dtype=complex)
-            k[i, d - 1] = np.sqrt(p)
-            ops.append(k)
+    reduced = kraus_slots(reduce_complete_damping(tm).gamma[None])[0]
+    ops = np.zeros((len(reduced) + 1, d, d))
+    ops[:-1, :-1, :-1] = reduced
+    ops[-1, -1, -1] = 1.0
     return LinearMap.from_kraus(ops)
 
 
 def verify_cd_decomposition(tm: TransitionMatrix, tol: float = 1e-10) -> bool:
-    """Check the channel factors as level-erasure after the direct-sum map by
-    comparing the two superoperators entrywise."""
-    d = tm.dim
-    if tm.gamma[d - 1, d - 1] > _ZERO_LEVEL_TOL:
-        raise ConditionViolatedError("not a complete-damping channel")
-    composite = _direct_sum_map(tm).then(_level_erasure_map(tm))
+    """Check the channel factors as the top level's own decay (the last
+    factor of decompose_by_level) after the direct-sum map by comparing the
+    two superoperators entrywise; ConditionViolatedError, from
+    reduce_complete_damping, unless the top level decays completely."""
+    composite = _direct_sum_map(tm).then(
+        channel_map(decompose_by_level(tm)[-1]))
     diff = composite.superoperator() - channel_map(tm).superoperator()
     return bool(np.max(np.abs(diff)) <= tol)
 
@@ -864,21 +841,20 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
         k_checks = []
         for k in k_grid:
             bound = 1.0 - k / 2.0 ** (n + 1)
-            chois = [connecting_choi(g21, float(w), k) for w in omegas]
-            psds = _psd_status(np.stack(chois), tol_psd)[0] == "yes"
-            mismatches = 0
-            for w, psd in zip(omegas, psds):
-                expected = (g21 <= w + 1e-12) and (w <= bound + 1e-12)
-                if psd != expected and min(abs(w - bound), abs(w - g21)) > grid_step:
-                    mismatches += 1
+            psd = _psd_status(connecting_chois(g21, omegas, k),
+                              tol_psd)[0] == "yes"
+            expected = (g21 <= omegas + 1e-12) & (omegas <= bound + 1e-12)
+            far = np.minimum(abs(omegas - bound),
+                             abs(omegas - g21)) > grid_step
             k_checks.append({"k": k, "analytic_bound": bound,
-                             "mismatches": mismatches})
+                             "mismatches": int(np.sum((psd != expected)
+                                                      & far))})
         steps.append({"n": n, "gamma21": g21, "k_checks": k_checks})
     certified_omega = 1.0 - 2.0 ** (-(iterations + 1))
     edge = TransitionMatrix(3, {(1, 0): gamma10, (2, 0): 0.5})
     edge_val, _ = max_diagonal_coherent_info(edge)
     edge_deg = is_degradable(edge, tol_psd).degradable
-    slice_points = [float(w) for w in omegas if w <= certified_omega + 1e-12]
+    slice_points = omegas[omegas <= certified_omega + 1e-12].tolist()
     return {
         "gamma10": gamma10,
         "certificate_value": q,

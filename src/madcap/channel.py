@@ -4,6 +4,12 @@ A MAD channel on d levels is identified by a lower-triangular row-stochastic
 transition matrix Gamma whose entry (j, i) is the probability gamma_ji that
 level |j> decays onto |i> (i < j). The diagonal gamma_jj = 1 - sum_{i<j}
 gamma_ji is the survival probability of level j.
+
+The Kraus operators of a Gamma stack form one stack, a slot per environment
+basis state (kraus_slots); the slots of absent decays are zero, which changes
+no bit of a superoperator, since each of its entries gets at most one nonzero
+term. channel_superops is the batch kernel; channel_map, kraus_from_gamma and
+the Stinespring isometry are batches of one.
 """
 import json
 import math
@@ -19,6 +25,9 @@ from .linalg import check_density_matrix
 from .maps import LinearMap
 
 ROW_SUM_TOL = 1e-12
+# The largest channel: a d-level channel's two-extension witness is
+# d³ × d³ (134 MB of floats at d = 16), and no larger d is analyzed.
+MAX_DIM = 16
 
 
 class TransitionMatrix:
@@ -26,12 +35,12 @@ class TransitionMatrix:
 
     Rows are indexed by the source level j, columns by the target level i.
     The diagonal is recomputed from the off-diagonal decays on construction,
-    so row-stochasticity is exact by construction.
+    so row-stochasticity is exact by construction. 1 <= dim <= MAX_DIM.
     """
 
     def __init__(self, dim: int, decays: Dict[Tuple[int, int], float] | None = None):
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
+        if not 1 <= dim <= MAX_DIM:
+            raise DimensionMismatchError(f"dim must be 1 to {MAX_DIM}, got {dim}")
         self.dim = dim
         # Python floats, row-major, turned into an array once: at d <= 4 a
         # numpy call per row or entry costs more than the arithmetic
@@ -75,10 +84,10 @@ class TransitionMatrix:
                 for j in range(d) for i in range(j) if self.gamma[j, i] > 0.0}
 
     def with_decay(self, j: int, i: int, p: float) -> "TransitionMatrix":
-        """Copy with the (j, i) decay probability replaced by ``p``."""
-        decays = {(a, b): float(self.gamma[a, b])
-                  for a in range(self.dim) for b in range(a) if (a, b) != (j, i)}
-        if p > 0.0:
+        """Copy with the (j, i) decay probability replaced by ``p``, checked
+        as the constructor checks it."""
+        decays = {k: v for k, v in self.decays.items() if k != (j, i)}
+        if p != 0.0:  # NaN too
             decays[(j, i)] = p
         return TransitionMatrix(self.dim, decays)
 
@@ -132,22 +141,56 @@ def random_transition_matrix(d: int, rng: np.random.Generator) -> TransitionMatr
     return TransitionMatrix(d, decays)
 
 
-def kraus_from_gamma(tm: TransitionMatrix) -> List[np.ndarray]:
-    """Minimal Kraus set: K_00 plus one operator per strictly positive decay."""
-    d = tm.dim
-    g = tm.gamma
-    ops = [np.diag(np.sqrt(np.diag(g))).astype(complex)]
-    for j in range(1, d):
-        for i in range(j):
-            if g[j, i] > 0.0:
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = np.sqrt(g[j, i])
-                ops.append(k)
+def env_dim(d: int) -> int:
+    return 1 + d * (d - 1) // 2
+
+
+def env_basis(d: int) -> List[Tuple[int, int]]:
+    """Environment slot labels, the slot order of kraus_slots: |0,0>, then
+    the pairs |i,j>, i < j, sorted by j ascending, then i ascending."""
+    return [(0, 0)] + [(i, j) for j in range(1, d) for i in range(j)]
+
+
+def kraus_slots(gammas: np.ndarray) -> np.ndarray:
+    """Kraus operators (B, e, d, d), e = env_dim(d), of a Gamma stack
+    (B, d, d), one per environment slot: slot 0 is diag(sqrt gamma_kk) and
+    the slot of the pair (i, j) holds sqrt(gamma_ji) at (i, j)."""
+    g = np.asarray(gammas, dtype=float)
+    b, d, _ = g.shape
+    slot, row, col = np.array([(0, k, k) for k in range(d)] + [
+        (s, i, j) for s, (i, j) in enumerate(env_basis(d)) if s]).T
+    ops = np.zeros((b, env_dim(d), d, d))
+    ops[:, slot, row, col] = np.sqrt(g[:, col, row])
     return ops
 
 
+def channel_superops(gammas: np.ndarray) -> np.ndarray:
+    """Superoperators (B, d², d²) of the MAD channels of a Gamma stack
+    (B, d, d): sum_s K_s ⊗ K_s over the Kraus slots (kraus_slots), real."""
+    ops = kraus_slots(gammas)
+    b, _, d, _ = ops.shape
+    return np.einsum("bspm,bsqn->bpqmn", ops, ops).reshape(b, d * d, d * d)
+
+
+def kraus_from_gamma(tm: TransitionMatrix) -> List[np.ndarray]:
+    """Minimal Kraus set: the nonzero Kraus slots, K_00 first and then one
+    operator per strictly positive decay, in slot order."""
+    ops = kraus_slots(tm.gamma[None])[0].astype(complex)
+    return list(ops[ops.any(axis=(1, 2))])
+
+
 def channel_map(tm: TransitionMatrix) -> LinearMap:
-    return LinearMap.from_kraus(kraus_from_gamma(tm))
+    """The channel, as a batch of one of channel_superops."""
+    return LinearMap(channel_superops(tm.gamma[None])[0])
+
+
+def _state(tm: TransitionMatrix, rho, validate: bool) -> np.ndarray:
+    """rho as a complex d x d array, a checked state if ``validate``."""
+    rho = check_density_matrix(rho) if validate else np.asarray(rho, complex)
+    if rho.shape != (tm.dim, tm.dim):
+        raise DimensionMismatchError(
+            f"state shape {rho.shape} does not match dim {tm.dim}")
+    return rho
 
 
 def apply(tm: TransitionMatrix, rho: np.ndarray, validate: bool = True) -> np.ndarray:
@@ -156,13 +199,7 @@ def apply(tm: TransitionMatrix, rho: np.ndarray, validate: bool = True) -> np.nd
     Diagonal: Phi(rho)_ii = sum_j gamma_ji rho_jj. Off-diagonal entries are
     damped by sqrt(gamma_mm gamma_nn).
     """
-    if validate:
-        rho = check_density_matrix(rho)
-    else:
-        rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (tm.dim, tm.dim):
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match dim {tm.dim}")
+    rho = _state(tm, rho, validate)
     g = tm.gamma
     surv = np.sqrt(np.diag(g))
     out = rho * np.outer(surv, surv)
@@ -181,12 +218,9 @@ def compose(first: TransitionMatrix, second: TransitionMatrix) -> TransitionMatr
 def decompose_by_level(tm: TransitionMatrix) -> List[TransitionMatrix]:
     """Factor Gamma = Gamma_1 Gamma_2 ... Gamma_{d-1}, where Gamma_k only lets
     level k decay; channel application order is Gamma_1 first."""
-    d = tm.dim
-    out = []
-    for k in range(1, d):
-        probs = {i: float(tm.gamma[k, i]) for i in range(k) if tm.gamma[k, i] > 0.0}
-        out.append(TransitionMatrix(d, {(k, i): p for i, p in probs.items()}))
-    return out
+    return [TransitionMatrix(tm.dim, {(j, i): p for (j, i), p
+                                      in tm.decays.items() if j == k})
+            for k in range(1, tm.dim)]
 
 
 def single_decay_matrix(d: int, k: int, n: int, p: float) -> TransitionMatrix:
@@ -259,13 +293,17 @@ def swap_unitary(d: int, m: int, n: int) -> np.ndarray:
 
 def conjugate_by_swap(tm: TransitionMatrix, m: int, n: int) -> LinearMap:
     """The channel rho -> U Phi(U rho U) U with U the (m, n) level swap."""
-    u = swap_unitary(tm.dim, m, n).astype(complex)
-    return LinearMap.from_kraus([u @ k @ u for k in kraus_from_gamma(tm)])
+    u = swap_unitary(tm.dim, m, n)
+    return LinearMap.from_kraus(u @ kraus_slots(tm.gamma[None])[0] @ u)
 
 
 def permute_levels(tm: TransitionMatrix, perm: Sequence[int]) -> TransitionMatrix:
-    """Relabel levels by j -> perm[j]; only valid if all decays stay downward."""
+    """Relabel levels by j -> perm[j]; only valid if ``perm`` is a
+    permutation of range(d) and all decays stay downward."""
     d = tm.dim
+    if sorted(perm) != list(range(d)):
+        raise IndexOutOfRangeError(
+            f"{list(perm)} is not a permutation of the levels 0..{d - 1}")
     decays = {}
     for (j, i), p in tm.decays.items():
         jj, ii = perm[j], perm[i]

@@ -1,34 +1,20 @@
 """Complementary channel of a MAD channel (input -> environment).
 
-The environment basis is |0,0> followed by the pairs |i,j> with i < j, sorted
-by j ascending then i ascending; its total size is 1 + d(d-1)/2. The flat
-integer index of each label is part of the public contract.
+The environment basis (env_basis, env_dim: the slot order of the channel's
+Kraus stack channel.kraus_slots, re-exported) is |0,0> followed by the pairs
+|i,j> with i < j, sorted by j ascending then i ascending; its size is
+1 + d(d-1)/2, and the flat index of each label is part of the public contract.
 
 complementary_superops is the closed-form kernel for a whole Gamma stack;
-complementary_map, from the Stinespring isometry's Kraus operators, is its
-independent reference.
+complementary_map, from the Stinespring isometry (the Kraus stack with the
+system row moved in front), is its independent reference.
 """
 from functools import lru_cache
-from typing import List, Tuple
 
 import numpy as np
 
-from .channel import TransitionMatrix, kraus_from_gamma
-from .errors import DimensionMismatchError
-from .linalg import check_density_matrix
+from .channel import TransitionMatrix, _state, env_basis, env_dim, kraus_slots
 from .maps import LinearMap
-
-
-def env_dim(d: int) -> int:
-    return 1 + d * (d - 1) // 2
-
-
-def env_basis(d: int) -> List[Tuple[int, int]]:
-    labels = [(0, 0)]
-    for j in range(1, d):
-        for i in range(j):
-            labels.append((i, j))
-    return labels
 
 
 def env_index(d: int, i: int, j: int) -> int:
@@ -77,43 +63,24 @@ def complementary_superops(gammas: np.ndarray) -> np.ndarray:
 def complementary_apply(tm: TransitionMatrix, rho: np.ndarray,
                         validate: bool = True) -> np.ndarray:
     """Environment output, as a batch of one of complementary_superops."""
-    if validate:
-        rho = check_density_matrix(rho)
-    else:
-        rho = np.asarray(rho, dtype=complex)
-    d = tm.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(f"state shape {rho.shape} != ({d},{d})")
-    e = env_dim(d)
+    rho = _state(tm, rho, validate)
+    e = env_dim(tm.dim)
     return (complementary_superops(tm.gamma[None])[0]
             @ rho.reshape(-1)).reshape(e, e)
 
 
 def complementary_map(tm: TransitionMatrix) -> LinearMap:
-    """Kraus-backed complementary map, built from the Stinespring isometry.
-
-    Each channel Kraus operator K_a occupies one environment slot; regrouping
-    the isometry rows by the system index b gives complementary Kraus
-    operators (Ktilde_b)_{a m} = (K_a)_{b m}.
-    """
+    """Kraus-backed complementary map: regrouping the Stinespring isometry's
+    rows by the system index b gives the complementary Kraus operators
+    (Ktilde_b)_{a m} = (K_a)_{b m}, one per system level."""
     d = tm.dim
     return LinearMap.from_kraus(
         stinespring_isometry(tm).reshape(d, env_dim(d), d))
 
 
 def stinespring_isometry(tm: TransitionMatrix) -> np.ndarray:
-    """V: H_d -> H_d ⊗ H_E with system index first; tr_E V rho V† = Phi(rho)."""
+    """V: H_d -> H_d ⊗ H_E with system index first; tr_E V rho V† = Phi(rho).
+    The channel's Kraus slots with the system row moved in front."""
     d = tm.dim
-    g = tm.gamma
-    e = env_dim(d)
-    labels = env_basis(d)
-    slots = [0]
-    for j in range(1, d):
-        for i in range(j):
-            if g[j, i] > 0.0:
-                slots.append(labels.index((i, j)))
-    v = np.zeros((d * e, d), dtype=complex)
-    for slot, k in zip(slots, kraus_from_gamma(tm)):
-        for m in range(d):
-            v[m * e + slot, :] += k[m, :]
-    return v
+    return (kraus_slots(tm.gamma[None])[0].transpose(1, 0, 2)
+            .reshape(d * env_dim(d), d).astype(complex))

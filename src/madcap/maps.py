@@ -4,7 +4,7 @@ A map is stored as the matrix S of shape d_out² × d_in² acting on row-major
 vectorized inputs: vec(Phi(X)) = S vec(X). The map theta -> sum_k A_k theta
 A_k† has S = sum_k A_k ⊗ conj A_k; maps that are not CP, such as channel
 inverses, are built directly from their superoperators. Composition is a
-matrix product and the Choi matrix is a reshuffle of S.
+matrix product and the Choi matrix is a reshuffle of S (choi_reshuffle).
 """
 import math
 from typing import Sequence
@@ -12,6 +12,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
+
+
+def choi_reshuffle(superops: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrices (..., d_in·d_out, d_in·d_out) of a stack of
+    superoperators (..., d_out², d_in²): entry (p·d_out + q, m·d_in + n) of
+    S becomes entry (m·d_out + p, n·d_out + q), input copy first."""
+    *lead, n_out, n_in = np.shape(superops)
+    do, d = math.isqrt(n_out), math.isqrt(n_in)
+    c = np.reshape(superops, (-1, do, do, d, d)).transpose(0, 3, 1, 4, 2)
+    return c.reshape(*lead, d * do, d * do)
 
 
 class LinearMap:
@@ -61,10 +71,8 @@ class LinearMap:
         Subsystem order: input copy first, output second, so the block (i, j)
         is map(|i⟩⟨j|). Always a fresh array.
         """
-        d, do = self.in_dim, self.out_dim
-        c = self._s.reshape(do, do, d, d).transpose(2, 0, 3, 1)
-        c = c.reshape(d * do, d * do)
-        return c / d if normalized else c.copy()
+        c = choi_reshuffle(self._s)
+        return c / self.in_dim if normalized else c.copy()
 
     def superoperator(self) -> np.ndarray:
         """Dense d_out² × d_in² matrix acting on row-major vectorized inputs."""

@@ -24,7 +24,10 @@ lower bound. The two-extension and the Choi state are scattered for a whole
 Gamma stack in one pass from a per-dimension plan, which adds one value-table
 column at each nonzero entry.
 A monotonicity certificate tests both connecting maps of a single-decay
-increase, left and right, in one stacked PSD test.
+increase, left and right, in one stacked PSD test. mad3's connecting Chois
+are built for a whole omega grid at once (connecting_chois; connecting_choi
+is a batch of one) from one inverse and channel.channel_superops, and
+reshuffled, like the degrading Chois, by maps.choi_reshuffle.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,14 +35,14 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import TransitionMatrix, channel_map
+from .channel import TransitionMatrix, channel_map, channel_superops
 from .complementary import (_complementary_tables, complementary_superops,
                             env_dim)
-from .errors import (ConditionViolatedError, NotComparableError,
-                     SingularInverseError)
+from .errors import (ConditionViolatedError, IndexOutOfRangeError,
+                     NotComparableError, SingularInverseError)
 from .inverse import inverse_superops, mad_inverse
 from .linalg import EIG_FLOOR, _sector_blocks, psd_rule
-from .maps import LinearMap
+from .maps import LinearMap, choi_reshuffle
 
 BOUNDARY_BAND = 1e-7  # relative |min eig| band labelled "boundary"
 
@@ -62,10 +65,7 @@ def degrading_chois(gammas: np.ndarray) -> np.ndarray:
     degrading maps of a Gamma stack (B, d, d) with every gamma_kk > 0.
 
     Same subsystem order as LinearMap.choi: input copy first."""
-    b, d = np.shape(gammas)[:2]
-    e = env_dim(d)
-    c = _degrading_superops(gammas).reshape(b, e, e, d, d)
-    return c.transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e) / d
+    return choi_reshuffle(_degrading_superops(gammas)) / np.shape(gammas)[-1]
 
 
 def degrading_map(tm: TransitionMatrix) -> LinearMap:
@@ -114,21 +114,16 @@ def _sector_plan(d: int) -> tuple:
     diagonal. They fall inside the same sectors, so the plan covers every
     entry the kernel can produce."""
     e = env_dim(d)
-    n = d * e
     rows, cols, _, _ = _complementary_tables(d)
     comp = np.zeros((e * e, d * d), dtype=bool)
     comp[rows, cols] = True
     inv = np.eye(d * d, dtype=bool)
     pop = np.arange(0, d * d, d + 1)
     inv[pop[:, None], pop] = True
-    def to_choi(sup: np.ndarray) -> np.ndarray:
-        # superoperator entry (a·e + b, p·d + q) is Choi entry
-        # (p·e + a, q·e + b)
-        return sup.reshape(e, e, d, d).transpose(2, 0, 3, 1).reshape(n, n)
-
-    mask = to_choi(comp @ inv)
-    flat = to_choi(np.arange(e * e * d * d))
-    singles, groups = _sector_blocks(n, np.packbits(mask | mask.T).tobytes())
+    mask = choi_reshuffle(comp @ inv)
+    flat = choi_reshuffle(np.arange(e * e * d * d).reshape(e * e, d * d))
+    singles, groups = _sector_blocks(d * e,
+                                     np.packbits(mask | mask.T).tobytes())
     pos, blocks = [flat[singles, singles]], []
     start = len(singles)
     for idx in groups:
@@ -361,7 +356,11 @@ def _lg_f(x: float) -> float:
 
 def capacity_positive_witness(tm: TransitionMatrix, j: int) -> float:
     """Positive lower bound on Q from a level j violating antidegradability:
-    (1/2)[log2 f(gamma_j0) - log2 f(gamma_jj)], f non-increasing."""
+    (1/2)[log2 f(gamma_j0) - log2 f(gamma_jj)], f non-increasing. Needs
+    1 <= j < d."""
+    if not 1 <= j < tm.dim:
+        raise IndexOutOfRangeError(f"witness level {j} needs 1 <= j < "
+                                   f"dim={tm.dim}")
     g = tm.gamma
     if g[j, 0] >= g[j, j]:
         raise ConditionViolatedError(
@@ -419,28 +418,38 @@ def monotonicity_certificate(
                  for side, s, m in zip(("left", "right"), status, lo))
 
 
-def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:
-    """Unnormalized 9x9 Choi of the map Phi_L with Phi_L ∘ Phi_1 = Phi_2.
+def connecting_chois(gamma21: float, omegas: np.ndarray, k: float) -> np.ndarray:
+    """Unnormalized complex 9x9 Chois (B, 9, 9) of the maps Phi_L with
+    Phi_L ∘ Phi_1 = Phi_2, one per omega21 in ``omegas`` (B,).
 
     Phi_1 is the 3-level MAD with gamma_20 = (1-gamma21)/2 and Phi_2 the one
     with omega_20 = (1-omega21)/k; the shared gamma_10 cancels and is set to
-    0. PSD of this matrix certifies Q(Phi_2) <= Q(Phi_1). Phi_1's inverse
-    is built without mad_inverse's conditioning warning: gamma_22 =
+    0. PSD of a Choi certifies Q(Phi_2) <= Q(Phi_1). Phi_1's inverse is
+    built once, without mad_inverse's conditioning warning: gamma_22 =
     (1-gamma21)/2 is small by design near gamma21 = 1, and
     mad3_acge_verification warns once per step instead.
     """
+    omegas = np.asarray(omegas, dtype=float)
     if not (0.0 <= gamma21 < 1.0):
         raise ConditionViolatedError(f"gamma21={gamma21} outside [0, 1)")
-    if not (0.0 <= omega21 <= 1.0):
-        raise ConditionViolatedError(f"omega21={omega21} outside [0, 1]")
+    bad = omegas[~((0.0 <= omegas) & (omegas <= 1.0))]
+    if bad.size:
+        raise ConditionViolatedError(f"omega21={float(bad[0])} outside [0, 1]")
     if not (1.0 <= k < 2.0):
         raise ConditionViolatedError(f"k={k} outside [1, 2)")
     g1 = TransitionMatrix(3, {(2, 1): gamma21, (2, 0): (1.0 - gamma21) / 2.0})
-    g2 = TransitionMatrix(3, {(2, 1): omega21, (2, 0): (1.0 - omega21) / k})
     if g1.gamma[2, 2] <= 0.0:
         raise SingularInverseError(f"gamma21={gamma21} rounds gamma22 to 0")
-    lam = LinearMap(inverse_superops(g1.gamma[None])[0]).then(channel_map(g2))
-    return lam.choi(normalized=False)
+    g2 = [TransitionMatrix(3, {(2, 1): w, (2, 0): (1.0 - w) / k}).gamma
+          for w in omegas.tolist()]
+    lam = (channel_superops(np.reshape(g2, (-1, 3, 3)))
+           @ inverse_superops(g1.gamma[None]))
+    return choi_reshuffle(lam.astype(complex))
+
+
+def connecting_choi(gamma21: float, omega21: float, k: float) -> np.ndarray:
+    """Unnormalized 9x9 Choi of Phi_L, a batch of one of connecting_chois."""
+    return connecting_chois(gamma21, [omega21], k)[0]
 
 
 def connecting_eigenvalues(gamma21: float, omega21: float, k: float) -> np.ndarray:

@@ -1312,6 +1312,28 @@ class TestMad3Verification:
                 assert kc["mismatches"] == 0
         assert rep["certified_omega_max"] == pytest.approx(1 - 2.0 ** -4)
 
+    def test_mismatches_equal_a_count_per_omega(self):
+        # tol_psd = 0.1 passes Chois outside the region, so counts are > 0;
+        # the count is redone one omega and one Choi at a time
+        step = 0.05
+        rep = mad3_acge_verification(0.2, grid_step=step, iterations=3,
+                                     tol_psd=0.1)
+        total = 0
+        for n_step in rep["steps"]:
+            g21 = n_step["gamma21"]
+            for kc in n_step["k_checks"]:
+                k, bound, count = kc["k"], kc["analytic_bound"], 0
+                for w in np.arange(0.0, 1.0 + 1e-12, step):
+                    c = structure.connecting_choi(g21, float(w), k)
+                    psd = structure._psd_status(c[None], 0.1)[0][0] == "yes"
+                    expected = g21 <= w + 1e-12 and w <= bound + 1e-12
+                    if (psd != expected
+                            and min(abs(w - bound), abs(w - g21)) > step):
+                        count += 1
+                assert kc["mismatches"] == count, (n_step["n"], k)
+                total += count
+        assert total > 0
+
     def test_range_check(self):
         with pytest.raises(ConditionViolatedError):
             mad3_acge_verification(0.7)
@@ -1329,7 +1351,7 @@ class TestMad3Verification:
                                      k_grid=[1.0])
         assert rep["steps"][-1]["n"] == 52
         built = []
-        monkeypatch.setattr(capacity, "connecting_choi",
+        monkeypatch.setattr(capacity, "connecting_chois",
                             lambda *args: built.append(args))
         with pytest.raises(ConditionViolatedError, match="iterations.*52"):
             mad3_acge_verification(0.2, grid_step=0.5, iterations=53,

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from madcap.channel import (TransitionMatrix, apply, channel_map,
-                            compose, conjugate_by_swap, decompose_by_level,
+from madcap.channel import (MAX_DIM, TransitionMatrix, apply, channel_map,
+                            channel_superops, compose, conjugate_by_swap,
+                            decompose_by_level,
                             decompose_single_decays, has_ladder_structure,
                             isolate_decay, kraus_from_gamma, permute_levels,
                             random_transition_matrix, recompose_single_decays,
@@ -13,6 +14,7 @@ from madcap.errors import (DegenerateDecompositionError,
                            DimensionMismatchError, IndexOutOfRangeError,
                            InvalidStateError, MadcapError)
 from madcap.linalg import is_psd, random_density_matrix
+from madcap.maps import LinearMap
 
 
 def kraus_choi(ops, d_in):
@@ -62,6 +64,8 @@ class TestTransitionMatrix:
     def test_rejects_non_finite_probability(self, p):
         with pytest.raises(InvalidStateError, match="outside"):
             TransitionMatrix(3, {(1, 0): p, (2, 0): 0.2})
+        with pytest.raises(InvalidStateError, match="outside"):
+            TransitionMatrix(3, {(2, 0): 0.2}).with_decay(1, 0, p)
 
     @pytest.mark.parametrize("payload", [
         {"dim": 2.7},
@@ -143,6 +147,18 @@ class TestTransitionMatrix:
             self.assert_same_as_loop(dim, decays)
         with pytest.raises(DimensionMismatchError):
             TransitionMatrix(0)
+        assert TransitionMatrix(MAX_DIM).gamma.shape == (MAX_DIM, MAX_DIM)
+        with pytest.raises(DimensionMismatchError, match="1 to 16"):
+            TransitionMatrix(MAX_DIM + 1)
+        # with_decay checks p as the constructor does: no bad p becomes 0
+        tm = TransitionMatrix(3, {(1, 0): 0.3, (2, 1): 0.2, (2, 0): 0.1})
+        for p in (-0.5, 1.5, np.nan):
+            with pytest.raises(InvalidStateError, match="outside"):
+                tm.with_decay(1, 0, p)
+        for p in (0.0, -0.0, -1e-13):  # clamped to 0, as in the constructor
+            got = tm.with_decay(1, 0, p)
+            assert got.gamma.tobytes() == TransitionMatrix(
+                3, {(2, 1): 0.2, (2, 0): 0.1}).gamma.tobytes()
 
 
 class TestKraus:
@@ -167,6 +183,47 @@ class TestKraus:
                 tm = random_transition_matrix(d, rng)
                 acc = sum(k.conj().T @ k for k in kraus_from_gamma(tm))
                 assert np.max(np.abs(acc - np.eye(d))) < 1e-12
+
+
+class TestChannelSuperops:
+    @staticmethod
+    def channels(rng):
+        for d in range(1, 7):
+            for _ in range(10):
+                tm = random_transition_matrix(d, rng)
+                # and a sparse channel: about half of the decays at 0
+                yield tm
+                yield TransitionMatrix(d, {k: p for k, p in tm.decays.items()
+                                           if rng.random() < 0.5})
+
+    def test_stack_equals_single_calls_bit_for_bit(self, rng):
+        tms = list(self.channels(rng))
+        for d in range(1, 7):
+            group = [tm for tm in tms if tm.dim == d]
+            stack = channel_superops(np.stack([tm.gamma for tm in group]))
+            assert stack.shape == (len(group), d * d, d * d)
+            for tm, sup in zip(group, stack):
+                assert sup.tobytes() == channel_superops(
+                    tm.gamma[None])[0].tobytes()
+                assert channel_map(tm).superoperator().tobytes() == \
+                    sup.astype(complex).tobytes()
+
+    def test_matches_closed_form_action(self, rng):
+        for tm in self.channels(rng):
+            d = tm.dim
+            sup = channel_superops(tm.gamma[None])[0]
+            for _ in range(3):
+                rho = random_density_matrix(d, rng)
+                got = (sup @ rho.reshape(-1)).reshape(d, d)
+                assert np.max(np.abs(got - apply(tm, rho))) <= 1e-14
+
+    def test_kraus_set_is_the_nonzero_slots(self, rng):
+        for tm in self.channels(rng):
+            ops = kraus_from_gamma(tm)
+            assert len(ops) == 1 + len(tm.decays)
+            assert np.array_equal(
+                LinearMap.from_kraus(ops).superoperator(),
+                channel_map(tm).superoperator())
 
 
 class TestApply:
@@ -362,6 +419,14 @@ class TestSwaps:
         assert out.gamma[3, 2] == pytest.approx(0.5)
         back = permute_levels(out, perm)
         assert np.allclose(back.gamma, tm.gamma, atol=1e-15)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3],
+                                      [1, 2, 3], [-1, 0, 1]])
+    def test_permute_levels_rejects_non_permutations(self, perm):
+        # [0, 0, 2] would merge the two decays of level 2 into one
+        tm = TransitionMatrix(3, {(2, 0): 0.1, (2, 1): 0.2})
+        with pytest.raises(IndexOutOfRangeError, match="not a permutation"):
+            permute_levels(tm, perm)
 
     def test_permute_levels_rejects_upward_decay(self):
         tm = TransitionMatrix(2, {(1, 0): 0.5})

@@ -83,8 +83,10 @@ class TestAnalyze:
         '{"dim": 2, "decays": [{"from": true, "to": false, "p": 0.3}]}',
         '{"dim": 2, "decays": [{"from": 1, "to": 0, "p": true}]}',
         '{"dim": "3", "decays": [{"from": "2", "to": 0, "p": "0.3"}]}',
+        # beyond channel.MAX_DIM: refused before any dim² list is built
+        '{"dim": 10000000000, "decays": []}',
     ], ids=["nan-p", "fractional-dim", "fractional-level", "duplicate-decay",
-            "bool-levels", "bool-p", "string-numbers"])
+            "bool-levels", "bool-p", "string-numbers", "dim-beyond-the-cap"])
     def test_nan_or_fractional_channel_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -279,6 +281,7 @@ class TestSweep:
         {"decays": [{"from": True, "to": 0, "p": "g"}]},
         {"dim": "2"},
         {"dim": 10 ** 400},
+        {"dim": 10 ** 10},
     ], ids=["zero-step", "missing-step", "unknown-slot", "dim", "slot-list",
             "monotonicity", "monotonicity-number", "analyses-number",
             "monotonicity-level", "fractional-dim-and-levels",
@@ -289,7 +292,7 @@ class TestSweep:
             "level-outside-dim", "upward-decay", "dim-0", "fixed-row-above-1",
             "duplicate-decay", "epsilon-negative", "epsilon-zero",
             "string-and-bool-slot", "bool-level", "string-dim",
-            "dim-beyond-float"])
+            "dim-beyond-float", "dim-beyond-the-cap"])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, change):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**adc_sweep_spec(), **change}))

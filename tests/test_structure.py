@@ -4,14 +4,14 @@ import pytest
 from madcap.channel import (TransitionMatrix, apply, channel_map,
                             decompose_by_level, random_transition_matrix)
 from madcap.complementary import complementary_apply, complementary_map, env_dim
-from madcap.errors import (ConditionViolatedError, NotComparableError,
-                           SingularInverseError)
+from madcap.errors import (ConditionViolatedError, IndexOutOfRangeError,
+                           NotComparableError, SingularInverseError)
 from madcap.inverse import inverse_superops, mad_inverse
 from madcap.linalg import partial_trace, random_density_matrix
 from madcap import structure
 from madcap.structure import (best_capacity_witness, build_two_extension,
                               capacity_positive_witness, connecting_choi,
-                              connecting_eigenvalues, degradability_status,
+                              connecting_chois, connecting_eigenvalues, degradability_status,
                               degradable_margins,
                               degrading_chois,
                               degrading_map,
@@ -401,6 +401,13 @@ class TestCapacityWitness:
         with pytest.raises(ConditionViolatedError):
             capacity_positive_witness(tm, 1)
 
+    @pytest.mark.parametrize("j", [-1, 0, 3, 4])
+    def test_rejects_levels_outside_1_to_d(self, j):
+        # j = -1 would read level 2: gamma_20 = 0 < gamma_22 = 1
+        tm = TransitionMatrix(3, {(1, 0): 0.1})
+        with pytest.raises(IndexOutOfRangeError, match="1 <= j < dim=3"):
+            capacity_positive_witness(tm, j)
+
     def test_best_witness_zero_for_antidegradable(self):
         assert best_capacity_witness(TransitionMatrix(2, {(1, 0): 0.6})) == 0.0
 
@@ -513,6 +520,24 @@ class TestConnectingChoi:
             c = connecting_choi(g, w, k)
             assert abs(np.sum(connecting_eigenvalues(g, w, k))
                        - np.trace(c).real) < 1e-9
+
+    def test_stack_equals_single_chois_bit_for_bit(self):
+        # mad3's grids: n <= 20, the default k grid, omega step 0.05
+        omegas = np.arange(0.0, 1.0 + 1e-12, 0.05)
+        for n in range(21):
+            g21 = 1.0 - 2.0 ** -n
+            for k in [round(1.0 + 0.1 * t, 10) for t in range(10)]:
+                stack = connecting_chois(g21, omegas, k)
+                assert stack.shape == (len(omegas), 9, 9)
+                for w, c in zip(omegas, stack):
+                    one = connecting_choi(g21, float(w), k)
+                    assert c.dtype == one.dtype and c.tobytes() == one.tobytes()
+
+    def test_stack_range_check_names_the_first_bad_omega(self):
+        with pytest.raises(ConditionViolatedError, match="omega21=1.5 "):
+            connecting_chois(0.5, [0.2, 1.5, np.nan], 1.5)
+        with pytest.raises(ConditionViolatedError, match="omega21=nan "):
+            connecting_chois(0.5, [np.nan, 1.5], 1.5)
 
     def test_range_checks(self):
         with pytest.raises(ConditionViolatedError):

@@ -23,7 +23,8 @@ The certificate cascade for a transition matrix:
   5. otherwise a LowerBound (diagonal max / noiseless subspace / analytic
      witness) or Unknown.
 Stores are keyed by exact Gamma bytes (certificates also by the depth cap,
-not the depth: see certify_capacity).
+not the depth: see certify_capacity). tol_border defaults to TOL_BORDER and
+tol_psd to linalg.TOL_PSD, as the CLI's flags do.
 The diagonal max (max_diagonal_coherent_info) runs an active-set Newton
 ascent on the simplex from the best points of a grid and the faces next to
 its result, handling the faces where a level is 0 explicitly, until the
@@ -50,7 +51,7 @@ from .channel import (TransitionMatrix, apply, channel_map,
 from .complementary import complementary_apply
 from .errors import ConditionViolatedError, MadcapError
 from .inverse import CONDITIONING_WARN
-from .linalg import shannon_entropy, von_neumann_entropy
+from .linalg import TOL_PSD, shannon_entropy, von_neumann_entropy
 from .maps import LinearMap
 from .structure import (_psd_status, best_capacity_witness, connecting_chois,
                         degradable_margins, is_antidegradable, is_degradable,
@@ -58,6 +59,7 @@ from .structure import (_psd_status, best_capacity_witness, connecting_chois,
 
 logger = logging.getLogger(__name__)
 
+TOL_BORDER = 1e-6  # the default border-equality tolerance and --tol-border
 _ZERO_LEVEL_TOL = 1e-12
 _MAX_DEPTH = 6
 # The diagonal maximizer starts from the _STARTS best points of a 1/50 grid,
@@ -405,15 +407,15 @@ def _direct_sum_map(tm: TransitionMatrix) -> LinearMap:
     return LinearMap.from_kraus(ops)
 
 
-def verify_cd_decomposition(tm: TransitionMatrix, tol: float = 1e-10) -> bool:
+def verify_cd_decomposition(tm: TransitionMatrix) -> bool:
     """Check the channel factors as the top level's own decay (the last
-    factor of decompose_by_level) after the direct-sum map by comparing the
-    two superoperators entrywise; ConditionViolatedError, from
-    reduce_complete_damping, unless the top level decays completely."""
+    factor of decompose_by_level) after the direct-sum map: the two
+    superoperators agree entrywise within 1e-10. ConditionViolatedError,
+    from reduce_complete_damping, unless the top level decays completely."""
     composite = _direct_sum_map(tm).then(
         channel_map(decompose_by_level(tm)[-1]))
     diff = composite.superoperator() - channel_map(tm).superoperator()
-    return bool(np.max(np.abs(diff)) <= tol)
+    return bool(np.max(np.abs(diff)) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +641,8 @@ def _monotone_axis(tm: TransitionMatrix, j: int, i: int) -> bool:
     return j == tm.dim - 1 or (j, i) == (1, 0)
 
 
-def certify_capacity(tm: TransitionMatrix, tol_border: float = 1e-6,
-                     tol_psd: float = 1e-9,
+def certify_capacity(tm: TransitionMatrix, tol_border: float = TOL_BORDER,
+                     tol_psd: float = TOL_PSD,
                      _depth: int = 0) -> CapacityCertificate:
     """Certificate for the quantum capacity of ``tm``. Certificates are
     stored under the exact Gamma, the tolerances and whether _MAX_DEPTH has
@@ -710,7 +712,7 @@ def _try_axis_sandwich(tm: TransitionMatrix, tol_border: float, tol_psd: float,
     border along one decay entry, with a monotone connecting path."""
     for (j, i) in sorted(tm.decays):
         gji = float(tm.gamma[j, i])
-        if gji <= 1e-12 or tm.gamma[j, j] <= 1e-12:
+        if gji <= 1e-12 or tm.gamma[j, j] <= _ZERO_LEVEL_TOL:
             continue
         top, bottom_ok, border = _line(tm, j, i, tol_psd)
         if not bottom_ok:
@@ -805,17 +807,17 @@ _MAX_ITERATIONS = 52
 
 def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
                            iterations: int = 3,
-                           k_grid: Optional[List[float]] = None,
-                           tol_psd: float = 1e-9) -> dict:
+                           tol_psd: float = TOL_PSD) -> dict:
     """Iterate the connecting-channel construction on the 3-level slice at
     fixed gamma10: at step n the PSD region of the connecting Choi must be
-    omega21 <= 1 - k/2^(n+1), extending the certified-equal-capacity region;
-    the certified value is adc_capacity(gamma10), cross-checked against the
-    diagonal maximum at the degradable edge point (gamma21=0, gamma20=1/2).
-    Every PSD test uses ``tol_psd``. Each step whose gamma22 = 2^-(n+1) is
-    below inverse.CONDITIONING_WARN logs one warning. A grid_step whose
-    omega grid on [0, 1] would hold more than _MAX_OMEGAS points, or more
-    than _MAX_ITERATIONS iterations, raise ConditionViolatedError."""
+    omega21 <= 1 - k/2^(n+1) for k = 1.0, 1.1, ..., 1.9, extending the
+    certified-equal-capacity region; the certified value is
+    adc_capacity(gamma10), cross-checked against the diagonal maximum at the
+    degradable edge point (gamma21=0, gamma20=1/2). Every PSD test uses
+    ``tol_psd``. Each step whose gamma22 = 2^-(n+1) is below
+    inverse.CONDITIONING_WARN logs one warning. A grid_step whose omega grid
+    on [0, 1] would hold more than _MAX_OMEGAS points, or more than
+    _MAX_ITERATIONS iterations, raise ConditionViolatedError."""
     if not (0.0 <= gamma10 <= 0.5):
         raise ConditionViolatedError(f"gamma10={gamma10} outside [0, 0.5]")
     if iterations > _MAX_ITERATIONS:
@@ -828,8 +830,7 @@ def mad3_acge_verification(gamma10: float, grid_step: float = 0.05,
             f"grid_step={grid_step} must be > 0 and give at most "
             f"{_MAX_OMEGAS} omega points")
     q = adc_capacity(gamma10)
-    if k_grid is None:
-        k_grid = [round(1.0 + 0.1 * t, 10) for t in range(10)]
+    k_grid = [round(1.0 + 0.1 * t, 10) for t in range(10)]
     omegas = np.arange(0.0, 1.0 + 1e-12, grid_step)
     steps = []
     for n in range(iterations + 1):

@@ -69,6 +69,8 @@ class TransitionMatrix:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatchError(f"expected square matrix, got {g.shape}")
         d = g.shape[0]
+        if not np.isfinite(g).all():
+            raise InvalidStateError("transition matrix has non-finite entries")
         if np.max(np.abs(np.triu(g, 1))) > ROW_SUM_TOL:
             raise InvalidStateError("transition matrix has entries above the diagonal")
         rows = g.sum(axis=1)
@@ -193,13 +195,13 @@ def _state(tm: TransitionMatrix, rho, validate: bool) -> np.ndarray:
     return rho
 
 
-def apply(tm: TransitionMatrix, rho: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Closed-form channel action.
+def apply(tm: TransitionMatrix, rho: np.ndarray) -> np.ndarray:
+    """Closed-form channel action on a checked state.
 
     Diagonal: Phi(rho)_ii = sum_j gamma_ji rho_jj. Off-diagonal entries are
     damped by sqrt(gamma_mm gamma_nn).
     """
-    rho = _state(tm, rho, validate)
+    rho = _state(tm, rho, True)
     g = tm.gamma
     surv = np.sqrt(np.diag(g))
     out = rho * np.outer(surv, surv)
@@ -224,7 +226,9 @@ def decompose_by_level(tm: TransitionMatrix) -> List[TransitionMatrix]:
 
 
 def single_decay_matrix(d: int, k: int, n: int, p: float) -> TransitionMatrix:
-    return TransitionMatrix(d, {(k, n): p} if p > 0.0 else {})
+    """The channel whose only decay is |k> -> |n> with probability p, checked
+    as the constructor checks it (p = 0 is the identity)."""
+    return TransitionMatrix(d, {(k, n): p} if p != 0.0 else {})  # NaN too
 
 
 def decompose_single_decays(tm: TransitionMatrix) -> List[Tuple[int, int, float]]:

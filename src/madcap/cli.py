@@ -25,10 +25,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .capacity import (_MAX_ITERATIONS, adc_capacity, certify_capacity,
-                       mad3_acge_verification)
+from .capacity import (_MAX_ITERATIONS, TOL_BORDER, adc_capacity,
+                       certify_capacity, mad3_acge_verification)
 from .channel import TransitionMatrix, _json_number
 from .errors import MadcapError
+from .linalg import TOL_PSD
 from .structure import is_degradable, monotonicity_certificate
 
 _DEG_CODE = {"yes": "1", "no": "0", "boundary": "boundary", "unknown": "unknown"}
@@ -340,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="madcap",
         description="Multi-level amplitude damping channel toolkit")
-    parser.add_argument("--tol-psd", type=_bounded(float, 0.0), default=1e-9,
+    parser.add_argument("--tol-psd", type=_bounded(float, 0.0), default=TOL_PSD,
                         help="relative PSD tolerance of every Choi test, "
                         "floored at 1e-12")
     parser.add_argument("--tol-border", type=_bounded(float, 0.0),
-                        default=1e-6,
+                        default=TOL_BORDER,
                         help="capacity-equality tolerance at region borders")
     parser.add_argument("--grid-step", type=_bounded(float, 0.0, strict=True),
                         default=0.05)

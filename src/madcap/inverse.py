@@ -4,7 +4,8 @@ With every survival probability gamma_kk > 0 the channel is invertible in
 closed form: its inverse scales each coherence rho_mn by
 1/sqrt(gamma_mm gamma_nn) and maps the populations by Gamma^{-T}.
 inverse_superops builds these superoperators for a whole Gamma stack; the
-single-channel inverses are batches of one.
+single-channel inverses are batches of one. adc_inverse is the single-decay
+inverse of |1> -> |0> at d = 2, with its checks.
 """
 import logging
 
@@ -46,8 +47,6 @@ def single_decay_inverse(k: int, n: int, amplitude: float, d: int) -> LinearMap:
 
 def adc_inverse(gamma: float) -> LinearMap:
     """Inverse of the d=2 amplitude damping channel, 0 <= gamma < 1."""
-    if gamma >= 1.0:
-        raise SingularInverseError(f"ADC gamma={gamma} >= 1 has no inverse")
     return single_decay_inverse(1, 0, gamma, 2)
 
 

@@ -8,6 +8,9 @@ into the connected components of their nonzero pattern before solving. Every
 MAD map commutes with diagonal phase rotations, so its Choi-type matrices are
 block diagonal in charge sectors up to a permutation: the d = 4 two-extension
 (64 x 64) is one coupled 7 x 7 block plus 57 decoupled diagonal entries.
+TOL_PSD is the default tolerance of every PSD test in the package. The
+validators refuse non-finite entries (InvalidStateError) by their max-abs
+norm, which they compute for their Hermiticity bound anyway.
 """
 import math
 from functools import lru_cache
@@ -19,6 +22,7 @@ from .errors import DimensionMismatchError, InvalidStateError, NonHermitianError
 
 HERMITICITY_RTOL = 1e-10
 EIG_FLOOR = 1e-12
+TOL_PSD = 1e-9  # the default PSD tolerance of every Choi test and --tol-psd
 
 
 def psd_rule(lo, scale, tol: float):
@@ -32,7 +36,7 @@ def _norm_inf(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def _hermitian_norm(m: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
+def _hermitian_norm(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Validated square Hermitian matrix, kept real when its input is real,
     and its max-abs norm."""
     m = np.asarray(m)
@@ -40,13 +44,15 @@ def _hermitian_norm(m: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     norm = _norm_inf(m)
-    if _norm_inf(m - m.conj().T) > rtol * max(1.0, norm):
+    if not math.isfinite(norm):
+        raise InvalidStateError("matrix has non-finite entries")
+    if _norm_inf(m - m.conj().T) > HERMITICITY_RTOL * max(1.0, norm):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     return m, norm
 
 
-def check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    return _hermitian_norm(m, rtol)[0].astype(complex, copy=False)
+def check_hermitian(m: np.ndarray) -> np.ndarray:
+    return _hermitian_norm(m)[0].astype(complex, copy=False)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -55,12 +61,15 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"state must be square, got shape {rho.shape}")
-    if _norm_inf(rho - rho.conj().T) > max(atol, 1e-12 * max(1.0, _norm_inf(rho))):
+    norm = _norm_inf(rho)
+    if not math.isfinite(norm):
+        raise InvalidStateError("state has non-finite entries")
+    if _norm_inf(rho - rho.conj().T) > 1e-12 * max(1.0, norm):
         raise InvalidStateError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
         raise InvalidStateError("state trace differs from 1")
@@ -102,6 +111,8 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     keep = sorted(keep)
     if any(k < 0 or k >= len(dims) for k in keep):
         raise DimensionMismatchError(f"keep={keep} out of range for {len(dims)} subsystems")
+    if len(set(keep)) < len(keep):
+        raise DimensionMismatchError(f"keep={keep} repeats a subsystem")
     nsub = len(dims)
     # One einsum: a discarded subsystem's column axis reuses its row label.
     cols = [nsub + k if k in keep else k for k in range(nsub)]
@@ -172,14 +183,14 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return lo
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
+def is_psd(m: np.ndarray, tol: float = TOL_PSD) -> bool:
     """psd_rule on m's minimum eigenvalue and scale max(1, ||m||_inf).
 
     The minimum eigenvalue comes from ``min_eigenvalues``: eigen-solves on
     the sectors (connected blocks) of m's nonzero pattern and sign checks on
     its decoupled diagonal entries, in real arithmetic when m is real.
     """
-    m, norm = _hermitian_norm(m, HERMITICITY_RTOL)
+    m, norm = _hermitian_norm(m)
     return bool(psd_rule(min_eigenvalues(m), max(1.0, norm), tol))
 
 

@@ -4,7 +4,8 @@ A map is stored as the matrix S of shape d_out² × d_in² acting on row-major
 vectorized inputs: vec(Phi(X)) = S vec(X). The map theta -> sum_k A_k theta
 A_k† has S = sum_k A_k ⊗ conj A_k; maps that are not CP, such as channel
 inverses, are built directly from their superoperators. Composition is a
-matrix product and the Choi matrix is a reshuffle of S (choi_reshuffle).
+matrix product and the Choi matrix is a reshuffle of S (choi_reshuffle);
+LinearMap.choi divides it by d_in.
 """
 import math
 from typing import Sequence
@@ -65,14 +66,10 @@ class LinearMap:
             raise DimensionMismatchError("composition dimension mismatch")
         return LinearMap(nxt._s @ self._s)
 
-    def choi(self, normalized: bool = True) -> np.ndarray:
-        """(Id ⊗ map)(|Ω⟩⟨Ω|), divided by d_in when ``normalized``.
-
-        Subsystem order: input copy first, output second, so the block (i, j)
-        is map(|i⟩⟨j|). Always a fresh array.
-        """
-        c = choi_reshuffle(self._s)
-        return c / self.in_dim if normalized else c.copy()
+    def choi(self) -> np.ndarray:
+        """(Id ⊗ map)(|Ω⟩⟨Ω|) / d_in, a fresh array. Subsystem order: input
+        copy first, output second, so the block (i, j) is map(|i⟩⟨j|) / d_in."""
+        return choi_reshuffle(self._s) / self.in_dim
 
     def superoperator(self) -> np.ndarray:
         """Dense d_out² × d_in² matrix acting on row-major vectorized inputs."""

@@ -41,7 +41,7 @@ from .complementary import (_complementary_tables, complementary_superops,
 from .errors import (ConditionViolatedError, IndexOutOfRangeError,
                      NotComparableError, SingularInverseError)
 from .inverse import inverse_superops, mad_inverse
-from .linalg import EIG_FLOOR, _sector_blocks, psd_rule
+from .linalg import EIG_FLOOR, TOL_PSD, _sector_blocks, psd_rule
 from .maps import LinearMap, choi_reshuffle
 
 BOUNDARY_BAND = 1e-7  # relative |min eig| band labelled "boundary"
@@ -165,7 +165,7 @@ def _degradability_spectra(gammas: np.ndarray
 
 
 def degradability_status(gammas: np.ndarray,
-                         tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+                         tol: float = TOL_PSD) -> tuple[np.ndarray, np.ndarray]:
     """Choi-PSD degradability verdicts for a Gamma stack (B, d, d): one
     degrading-superoperator kernel call and one stacked eigen-solve per
     sector block size.
@@ -180,7 +180,7 @@ def degradability_status(gammas: np.ndarray,
     return status, lo
 
 
-def degradable_margins(gammas: np.ndarray, tol: float = 1e-9
+def degradable_margins(gammas: np.ndarray, tol: float = TOL_PSD
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(mask, margin) for a Gamma stack (B, d, d): mask is
     degradability_status(gammas, tol) == "yes", as one boolean per channel,
@@ -193,7 +193,7 @@ def degradable_margins(gammas: np.ndarray, tol: float = 1e-9
     return psd_rule(lo, scale, tol), lo + max(tol, EIG_FLOOR) * scale
 
 
-def is_degradable(tm: TransitionMatrix, tol: float = 1e-9) -> ClassificationResult:
+def is_degradable(tm: TransitionMatrix, tol: float = TOL_PSD) -> ClassificationResult:
     """Choi-PSD test of the degrading map, as a batch of one of
     degradability_status; 'unknown' when some gamma_kk = 0."""
     status, lo = degradability_status(tm.gamma[None], tol)
@@ -397,7 +397,7 @@ def _single_entry_difference(a: TransitionMatrix, b: TransitionMatrix) -> tuple[
 
 def monotonicity_certificate(
         tm: TransitionMatrix, tm_bigger: TransitionMatrix,
-        tol: float = 1e-9) -> tuple[MonotonicityCertificate,
+        tol: float = TOL_PSD) -> tuple[MonotonicityCertificate,
                                     MonotonicityCertificate]:
     """Choi-PSD certificates (left, right) for Q(bigger) <= Q(tm) when one
     decay increased.

@@ -28,18 +28,7 @@ from madcap.structure import (connecting_choi, connecting_eigenvalues,
                               mad_choi_states, monotonicity_certificate,
                               two_extension_taus)
 
-from test_structure import sparse_channel
-
-
-def example_channel(gamma10, gamma32, gamma30):
-    decays = {}
-    if gamma10 > 0:
-        decays[(1, 0)] = gamma10
-    if gamma32 > 0:
-        decays[(3, 2)] = gamma32
-    if gamma30 > 0:
-        decays[(3, 0)] = gamma30
-    return TransitionMatrix(4, decays)
+from test_structure import example_channel, sparse_channel
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from madcap.errors import ConditionViolatedError, MadcapError
 from madcap.linalg import random_density_matrix
 from madcap.structure import is_antidegradable, is_degradable
 
-from test_structure import sparse_channel
+from test_structure import example_channel, sparse_channel
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -46,17 +46,6 @@ def random_degradable_d3(rng):
                                 (2, 0): float(rng.uniform(0.0, 0.5))})
 
 
-def example_channel(gamma10, gamma32, gamma30):
-    decays = {}
-    if gamma10 > 0:
-        decays[(1, 0)] = gamma10
-    if gamma32 > 0:
-        decays[(3, 2)] = gamma32
-    if gamma30 > 0:
-        decays[(3, 0)] = gamma30
-    return TransitionMatrix(4, decays)
-
-
 class TestCoherentInformation:
     def test_identity_channel_maximally_mixed(self):
         for d in (2, 3, 4):
@@ -70,6 +59,11 @@ class TestCoherentInformation:
         from madcap.linalg import von_neumann_entropy
         got = coherent_information(tm, rho)
         assert got == pytest.approx(-von_neumann_entropy(rho), abs=1e-9)
+
+    def test_non_finite_state_is_refused(self):
+        tm = TransitionMatrix(2, {(1, 0): 0.25})
+        with pytest.raises(MadcapError, match="non-finite"):
+            coherent_information(tm, np.full((2, 2), np.nan))
 
     def test_adc_diagonal_closed_form(self):
         tm = TransitionMatrix(2, {(1, 0): 0.25})
@@ -877,6 +871,67 @@ def monotone_axis_audit(axes, grid, tol=1e-6):
     return pairs, broken
 
 
+def relabeling_audit(grid, tol=1e-6):
+    """Check a certified grid (certified_grid) under level relabeling: for
+    each point and each other permutation that keeps its decays downward
+    (permute_levels) and lands on a grid point, two exact values agree
+    within tol, and where only one of them is exact the other's value (a
+    lower bound, or none) is at most that value + tol. Returns the number of
+    such (point, permutation) pairs and the (point, image) index pairs that
+    break the rule."""
+    where = {tm.gamma.tobytes(): ks for ks, (tm, _) in grid.items()}
+    pairs, broken = 0, []
+    for ks, (tm, cert) in grid.items():
+        # permutations() yields the identity first
+        for perm in itertools.islice(itertools.permutations(range(tm.dim)),
+                                     1, None):
+            try:
+                image = where.get(permute_levels(tm, perm).gamma.tobytes())
+            except MadcapError:  # a decay would go upward
+                continue
+            if image is None:
+                continue
+            pairs += 1
+            other = grid[image][1]
+            if cert.exact and other.exact:
+                ok = abs(cert.value - other.value) <= tol
+            elif cert.exact or other.exact:
+                exact, bound = (cert, other) if cert.exact else (other, cert)
+                ok = bound.value is None or bound.value <= exact.value + tol
+            else:
+                ok = True
+            if not ok:
+                broken.append((ks, image))
+    return pairs, broken
+
+
+class TestRelabelingAudit:
+    """Capacity is invariant under level relabeling, which no single
+    certificate checks: relabeling_audit over a certified grid."""
+
+    def test_lattice_pairs_hold_and_a_raised_value_breaks_them(
+            self, fresh_stores):
+        axes = [(1, 0), (2, 0), (2, 1)]
+        tenths = [round(0.1 * k, 12) for k in range(11)]
+        grid = certified_grid(3, axes, [tenths] * 3)
+        assert relabeling_audit(grid) == (210, [])
+        # g20 = 0.3 alone relabels to g10 = 0.3 alone and g21 = 0.3 alone
+        ks, images = (0, 3, 0), [(3, 0, 0), (0, 0, 3)]
+        assert all(grid[k][1].exact for k in [ks] + images)
+        tm, cert = grid[ks]
+        both_ways = sorted([(ks, k) for k in images]
+                           + [(k, ks) for k in images])
+        grid[ks] = (tm, CapacityCertificate(cert.kind, cert.value + 1e-3,
+                                            cert.provenance))
+        pairs, broken = relabeling_audit(grid)
+        assert (pairs, sorted(broken)) == (210, both_ways)
+        # a lower bound may lie below an exact image's value, not above it
+        for shift, want in ((-0.1, []), (1e-3, both_ways)):
+            grid[ks] = (tm, CapacityCertificate("LowerBound",
+                                                cert.value + shift, []))
+            assert sorted(relabeling_audit(grid)[1]) == want
+
+
 class TestMonotoneAxisAudit:
     """Capacity does not rise along a monotone axis, which no single
     certificate checks: monotone_axis_audit over certified grids."""
@@ -909,6 +964,7 @@ class TestMonotoneAxisAudit:
         assert len(grid) == 1750
         pairs, broken = monotone_axis_audit(axes, grid)
         assert (pairs, broken) == (4400, [])
+        assert relabeling_audit(grid) == (1560, [])
 
 
 def sequential_bisection(pred, lo, hi):
@@ -1301,8 +1357,7 @@ class TestMad3Verification:
         assert rep["certificate_value"] == 0.0
 
     def test_boundary_values_and_mismatches(self):
-        rep = mad3_acge_verification(0.2, grid_step=0.05, iterations=3,
-                                     k_grid=[1.0, 1.5])
+        rep = mad3_acge_verification(0.2, grid_step=0.05, iterations=3)
         for step in rep["steps"]:
             n = step["n"]
             assert step["gamma21"] == pytest.approx(1 - 2.0 ** (-n))
@@ -1342,18 +1397,15 @@ class TestMad3Verification:
                                       0.99e-4])
     def test_omega_grid_is_bounded(self, step):
         with pytest.raises(ConditionViolatedError):
-            mad3_acge_verification(0.2, grid_step=step, iterations=0,
-                                   k_grid=[1.0])
+            mad3_acge_verification(0.2, grid_step=step, iterations=0)
 
     def test_iterations_are_bounded(self, monkeypatch):
         # at n = 52 gamma22 = 2^-53 survives; at 53 it rounds to 0
-        rep = mad3_acge_verification(0.2, grid_step=0.5, iterations=52,
-                                     k_grid=[1.0])
+        rep = mad3_acge_verification(0.2, grid_step=0.5, iterations=52)
         assert rep["steps"][-1]["n"] == 52
         built = []
         monkeypatch.setattr(capacity, "connecting_chois",
                             lambda *args: built.append(args))
         with pytest.raises(ConditionViolatedError, match="iterations.*52"):
-            mad3_acge_verification(0.2, grid_step=0.5, iterations=53,
-                                   k_grid=[1.0])
+            mad3_acge_verification(0.2, grid_step=0.5, iterations=53)
         assert built == []

@@ -66,6 +66,11 @@ class TestTransitionMatrix:
             TransitionMatrix(3, {(1, 0): p, (2, 0): 0.2})
         with pytest.raises(InvalidStateError, match="outside"):
             TransitionMatrix(3, {(2, 0): 0.2}).with_decay(1, 0, p)
+        for at in ((0, 0), (1, 0), (0, 1)):
+            g = np.array([[1.0, 0.0], [0.5, 0.5]])
+            g[at] = p
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                TransitionMatrix.from_matrix(g)
 
     @pytest.mark.parametrize("payload", [
         {"dim": 2.7},
@@ -150,11 +155,16 @@ class TestTransitionMatrix:
         assert TransitionMatrix(MAX_DIM).gamma.shape == (MAX_DIM, MAX_DIM)
         with pytest.raises(DimensionMismatchError, match="1 to 16"):
             TransitionMatrix(MAX_DIM + 1)
-        # with_decay checks p as the constructor does: no bad p becomes 0
+        # with_decay and single_decay_matrix check p as the constructor
+        # does: no bad p becomes 0
         tm = TransitionMatrix(3, {(1, 0): 0.3, (2, 1): 0.2, (2, 0): 0.1})
         for p in (-0.5, 1.5, np.nan):
             with pytest.raises(InvalidStateError, match="outside"):
                 tm.with_decay(1, 0, p)
+            with pytest.raises(InvalidStateError, match="outside"):
+                single_decay_matrix(2, 1, 0, p)
+        with pytest.raises(InvalidStateError, match="outside"):
+            recompose_single_decays(2, [(1, 0, -0.3)])
         for p in (0.0, -0.0, -1e-13):  # clamped to 0, as in the constructor
             got = tm.with_decay(1, 0, p)
             assert got.gamma.tobytes() == TransitionMatrix(

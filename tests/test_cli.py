@@ -1,4 +1,5 @@
 import csv
+import inspect
 import itertools
 import json
 import logging
@@ -468,6 +469,16 @@ def command_args(tmp_path, command):
 
 
 class TestOptions:
+    def test_tolerance_defaults_are_the_library_ones(self):
+        # the library's defaults and the CLI's are one value each
+        from madcap.capacity import TOL_BORDER
+        from madcap.linalg import TOL_PSD
+        args = cli.build_parser().parse_args(["selftest"])
+        assert (args.tol_psd, args.tol_border) == (TOL_PSD, TOL_BORDER)
+        defaults = inspect.signature(certify_capacity).parameters
+        assert defaults["tol_psd"].default == TOL_PSD
+        assert defaults["tol_border"].default == TOL_BORDER
+
     @pytest.mark.parametrize("command", ["analyze", "sweep", "mad3"])
     def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
         out = str(tmp_path / "missing" / "out")

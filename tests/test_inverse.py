@@ -6,7 +6,7 @@ import pytest
 from madcap.channel import (TransitionMatrix, channel_map,
                             compose, random_transition_matrix,
                             single_decay_matrix)
-from madcap.errors import SingularInverseError
+from madcap.errors import InvalidStateError, SingularInverseError
 from madcap.inverse import adc_inverse, mad_inverse, single_decay_inverse
 
 
@@ -51,6 +51,9 @@ class TestAdcInverse:
     def test_singular(self):
         with pytest.raises(SingularInverseError):
             adc_inverse(1.0)
+        for gamma in (-0.5, np.nan):  # no channel: the constructor refuses
+            with pytest.raises(InvalidStateError):
+                adc_inverse(gamma)
 
 
 class TestSingleDecayInverse:
@@ -75,6 +78,8 @@ class TestSingleDecayInverse:
     def test_amplitude_one_is_singular(self):
         with pytest.raises(SingularInverseError):
             single_decay_inverse(2, 1, 1.0, 3)
+        with pytest.raises(InvalidStateError):
+            single_decay_inverse(2, 0, -1.0, 3)
 
 
 class TestMadInverse:

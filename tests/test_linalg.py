@@ -63,6 +63,13 @@ def test_von_neumann_entropy_rejects_bad_states():
         von_neumann_entropy(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(InvalidStateError):
         von_neumann_entropy(np.diag([1.5, -0.5]))  # negative eigenvalue
+    for x in (np.nan, np.inf):  # every comparison with NaN is False
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            von_neumann_entropy(np.full((2, 2), x))
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = x
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            check_density_matrix(rho)
 
 
 def test_check_density_matrix_accepts_random(rng):
@@ -107,6 +114,8 @@ def test_partial_trace_keeps_dtype_and_checks_keep():
     assert partial_trace(np.eye(6), [2, 3], []).shape == (1, 1)
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(6), [2, 3], [2])
+    with pytest.raises(DimensionMismatchError, match="repeats"):
+        partial_trace(np.eye(4), [2, 2], [0, 0])
 
 
 def test_is_psd():
@@ -130,6 +139,11 @@ def test_is_psd_rejects_non_hermitian_and_non_square():
         is_psd(np.zeros((2, 2, 2)))
     with pytest.raises(DimensionMismatchError):
         min_eigenvalues(np.zeros((3, 2)))
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            is_psd(np.full((2, 2), x))
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            hermitian_eigenvalues(np.diag([1.0, x]))
 
 
 def random_hermitian(s, rng, complex_):

@@ -91,7 +91,7 @@ def test_rectangular_kraus_matches_explicit_sum(rng, d_out, d_in, n_ops):
             sup[:, i * d_in + j] = block.reshape(-1)
             choi[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = block
     assert np.allclose(m.superoperator(), sup, atol=1e-12)
-    assert np.allclose(m.choi(normalized=False), choi, atol=1e-12)
+    assert np.allclose(m.choi() * d_in, choi, atol=1e-12)
     assert np.allclose(m.choi(), choi / d_in, atol=1e-12)
 
 

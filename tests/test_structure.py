@@ -21,6 +21,8 @@ from madcap.structure import (best_capacity_witness, build_two_extension,
 
 
 def example_channel(gamma10, gamma32, gamma30):
+    """The worked 4-level example: decays 1->0, 3->2 and 3->0, zero ones
+    left out."""
     decays = {}
     if gamma10 > 0:
         decays[(1, 0)] = gamma10
